@@ -4,10 +4,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <ostream>
 #include <sstream>
-#include <thread>
 
 namespace loctk::metrics {
 
@@ -27,16 +25,6 @@ void atomic_max(std::atomic<double>& target, double value) {
   while (value > cur && !target.compare_exchange_weak(
                             cur, value, std::memory_order_relaxed)) {
   }
-}
-
-/// Shard index for the calling thread: computed once per thread, so
-/// concurrent recorders spread across bin arrays instead of bouncing
-/// one cache line.
-std::size_t this_thread_shard() {
-  static thread_local const std::size_t shard =
-      std::hash<std::thread::id>{}(std::this_thread::get_id()) %
-      HistogramMetric::kShards;
-  return shard;
 }
 
 /// Shortest round-trippable decimal for JSON/text export.
@@ -76,6 +64,11 @@ void write_json_string(std::ostream& os, std::string_view s) {
 
 }  // namespace
 
+std::size_t detail::next_thread_shard() {
+  static std::atomic<std::size_t> next{0};
+  return next.fetch_add(1, std::memory_order_relaxed) % kShards;
+}
+
 /// --- HistogramMetric --------------------------------------------------
 
 HistogramMetric::HistogramMetric(HistogramOptions options)
@@ -105,22 +98,30 @@ void HistogramMetric::record_n(double value, std::uint64_t n) {
   } else {
     slot = 1 + edges_.bin_index(x);
   }
-  shards_[this_thread_shard()].slots[slot].fetch_add(
-      n, std::memory_order_relaxed);
+  Shard& shard = shards_[detail::this_thread_shard()];
+  shard.slots[slot].fetch_add(n, std::memory_order_relaxed);
 
   const bool first =
-      count_.fetch_add(n, std::memory_order_relaxed) == 0;
-  sum_.fetch_add(value * static_cast<double>(n),
-                 std::memory_order_relaxed);
+      shard.count.fetch_add(n, std::memory_order_relaxed) == 0;
+  shard.sum.fetch_add(value * static_cast<double>(n),
+                      std::memory_order_relaxed);
   if (first) {
     // Seed min/max so the CAS loops compare against a real sample
-    // rather than the 0.0 initializer. A racing second recorder still
-    // converges: both run the min/max loops below.
-    min_.store(value, std::memory_order_relaxed);
-    max_.store(value, std::memory_order_relaxed);
+    // rather than the 0.0 initializer. A racing second recorder on the
+    // same shard still converges: both run the min/max loops below.
+    shard.min.store(value, std::memory_order_relaxed);
+    shard.max.store(value, std::memory_order_relaxed);
   }
-  atomic_min(min_, value);
-  atomic_max(max_, value);
+  atomic_min(shard.min, value);
+  atomic_max(shard.max, value);
+}
+
+std::uint64_t HistogramMetric::count() const {
+  std::uint64_t total = 0;
+  for (const Shard& shard : shards_) {
+    total += shard.count.load(std::memory_order_relaxed);
+  }
+  return total;
 }
 
 HistogramSnapshot HistogramMetric::snapshot(std::string name) const {
@@ -144,10 +145,20 @@ HistogramSnapshot HistogramMetric::snapshot(std::string name) const {
   if (underflow) snap.bins.add_n(options_.lo - 1.0, underflow);
   if (overflow) snap.bins.add_n(options_.hi + 1.0, overflow);
 
-  snap.count = count_.load(std::memory_order_relaxed);
-  snap.sum = sum_.load(std::memory_order_relaxed);
-  snap.min = snap.count ? min_.load(std::memory_order_relaxed) : 0.0;
-  snap.max = snap.count ? max_.load(std::memory_order_relaxed) : 0.0;
+  // Totals merge over the shards that recorded anything, in shard
+  // order; with one such shard every field is that shard's own value.
+  bool seen = false;
+  for (const Shard& shard : shards_) {
+    const std::uint64_t count = shard.count.load(std::memory_order_relaxed);
+    if (count == 0) continue;
+    const double lo = shard.min.load(std::memory_order_relaxed);
+    const double hi = shard.max.load(std::memory_order_relaxed);
+    snap.count += count;
+    snap.sum += shard.sum.load(std::memory_order_relaxed);
+    snap.min = seen ? std::min(snap.min, lo) : lo;
+    snap.max = seen ? std::max(snap.max, hi) : hi;
+    seen = true;
+  }
   return snap;
 }
 
@@ -157,11 +168,11 @@ void HistogramMetric::reset() {
     for (std::size_t i = 0; i < slots; ++i) {
       shard.slots[i].store(0, std::memory_order_relaxed);
     }
+    shard.count.store(0, std::memory_order_relaxed);
+    shard.sum.store(0.0, std::memory_order_relaxed);
+    shard.min.store(0.0, std::memory_order_relaxed);
+    shard.max.store(0.0, std::memory_order_relaxed);
   }
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-  min_.store(0.0, std::memory_order_relaxed);
-  max_.store(0.0, std::memory_order_relaxed);
 }
 
 double HistogramSnapshot::quantile(double q) const {

@@ -21,7 +21,9 @@
 ///                   histogram (plus a call counter for spans).
 ///
 /// Instrumented code pays one relaxed atomic RMW per event on the hot
-/// path; name lookup happens once per call site through a
+/// path, on a cache line of its own thread's shard (counters and
+/// histograms keep `detail::kShards` per-thread shards, merged when
+/// read); name lookup happens once per call site through a
 /// function-local `static Counter& c = metrics::counter("...")`.
 /// `MetricsRegistry::global()` is immortal (never destroyed) so worker
 /// threads draining during process exit can still record safely.
@@ -47,28 +49,67 @@
 
 namespace loctk::metrics {
 
-/// Monotonic event counter. All operations are lock-free relaxed
-/// atomics; cross-counter ordering is not guaranteed (snapshots are
-/// statistically, not transactionally, consistent).
+namespace detail {
+
+/// Per-thread shards behind every Counter and HistogramMetric.
+inline constexpr std::size_t kShards = 8;
+
+/// Hands out shard indices round-robin, so the first kShards threads
+/// to record never share a shard.
+std::size_t next_thread_shard();
+
+/// The calling thread's shard, fixed on its first record.
+inline std::size_t this_thread_shard() {
+  static thread_local const std::size_t shard = next_thread_shard();
+  return shard;
+}
+
+}  // namespace detail
+
+/// Monotonic event counter. Each thread adds into its own cache-line
+/// shard with one relaxed atomic RMW; value() sums the shards, so
+/// concurrent totals are exact. Cross-counter ordering is not
+/// guaranteed (snapshots are statistically, not transactionally,
+/// consistent).
 class Counter {
  public:
   void add(std::uint64_t n = 1) {
-    value_.fetch_add(n, std::memory_order_relaxed);
+    shards_[detail::this_thread_shard()].value.fetch_add(
+        n, std::memory_order_relaxed);
   }
   void increment() { add(1); }
   std::uint64_t value() const {
-    return value_.load(std::memory_order_relaxed);
+    std::uint64_t total = 0;
+    for (const Shard& shard : shards_) {
+      total += shard.value.load(std::memory_order_relaxed);
+    }
+    return total;
   }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
+  void reset() {
+    for (Shard& shard : shards_) {
+      shard.value.store(0, std::memory_order_relaxed);
+    }
+  }
 
  private:
-  std::atomic<std::uint64_t> value_{0};
+  struct alignas(64) Shard {
+    std::atomic<std::uint64_t> value{0};
+  };
+  Shard shards_[detail::kShards];
 };
 
 /// Last-write-wins instantaneous value.
 class Gauge {
  public:
   void set(double v) { value_.store(v, std::memory_order_relaxed); }
+  /// Raises the value to `v` when it is below: a high-water mark that
+  /// racing writers cannot lower (e.g. a count that only grows).
+  void raise_to(double v) {
+    double cur = value_.load(std::memory_order_relaxed);
+    while (v > cur && !value_.compare_exchange_weak(
+                          cur, v, std::memory_order_relaxed)) {
+    }
+  }
   double value() const { return value_.load(std::memory_order_relaxed); }
   void reset() { set(0.0); }
 
@@ -115,11 +156,14 @@ struct HistogramSnapshot {
   double quantile(double q) const;
 };
 
-/// A concurrent histogram: `kShards` independent arrays of atomic bin
-/// counters (threads hash to a shard, so concurrent recorders do not
-/// contend on the same cache lines), merged at snapshot time into a
-/// `stats::Histogram`. Bin geometry is delegated to an embedded
-/// `stats::Histogram` so edge math exists in exactly one place.
+/// A concurrent histogram: `kShards` independent shards, each holding
+/// atomic bin counters plus its own count, sum, min and max (a thread
+/// records into its own shard, so concurrent recorders do not contend
+/// on the same cache lines), merged at snapshot time into a
+/// `stats::Histogram`. A single-threaded recorder fills one shard, so
+/// its snapshot equals an unsharded one bit for bit. Bin geometry is
+/// delegated to an embedded `stats::Histogram` so edge math exists in
+/// exactly one place.
 class HistogramMetric {
  public:
   explicit HistogramMetric(HistogramOptions options = {});
@@ -132,30 +176,28 @@ class HistogramMetric {
   /// caller times N homogeneous operations with one clock pair.
   void record_n(double value, std::uint64_t n);
 
-  std::uint64_t count() const {
-    return count_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t count() const;
 
   HistogramSnapshot snapshot(std::string name) const;
   void reset();
 
   const HistogramOptions& options() const { return options_; }
 
-  static constexpr std::size_t kShards = 8;
+  static constexpr std::size_t kShards = detail::kShards;
 
  private:
-  struct Shard {
+  struct alignas(64) Shard {
     /// bins + 2 slots: [0] underflow, [1..bins] bins, [bins+1] overflow.
     std::unique_ptr<std::atomic<std::uint64_t>[]> slots;
+    std::atomic<std::uint64_t> count{0};
+    std::atomic<double> sum{0.0};
+    std::atomic<double> min{0.0};
+    std::atomic<double> max{0.0};
   };
 
   HistogramOptions options_;
   stats::Histogram edges_;  ///< counts unused; bin geometry only.
   Shard shards_[kShards];
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-  std::atomic<double> min_{0.0};
-  std::atomic<double> max_{0.0};
 };
 
 /// One full registry snapshot: plain sorted data, safe to copy around

@@ -1,6 +1,8 @@
 #include "core/compiled_db.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <cmath>
 #include <string>
 #include <unordered_map>
 
@@ -8,9 +10,16 @@
 
 namespace loctk::core {
 
+std::uint64_t CompiledDatabase::next_id() {
+  // Starts at 1 so 0 can mean "never lowered" to a cache keyed on ids.
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
 CompiledDatabase::CompiledDatabase(const traindb::TrainingDatabase& db)
     : db_(&db) {
   build_matrices();
+  build_slot_index();
 }
 
 CompiledDatabase::CompiledDatabase(traindb::TrainingDatabase&& db)
@@ -18,6 +27,15 @@ CompiledDatabase::CompiledDatabase(traindb::TrainingDatabase&& db)
           std::move(db))),
       db_(owned_.get()) {
   build_matrices();
+  build_slot_index();
+}
+
+void CompiledDatabase::build_slot_index() {
+  const auto& universe = db_->bssid_universe();
+  slot_index_.reserve(universe.size());
+  for (std::size_t j = 0; j < universe.size(); ++j) {
+    slot_index_.emplace(universe[j], static_cast<std::uint32_t>(j));
+  }
 }
 
 void CompiledDatabase::build_matrices() {
@@ -63,6 +81,7 @@ CompiledDatabase::CompiledDatabase(traindb::TrainingDatabase&& merged,
           std::move(merged))),
       db_(owned_.get()) {
   delta_build(base, row_changed);
+  build_slot_index();
 }
 
 void CompiledDatabase::delta_build(const CompiledDatabase& base,
@@ -162,10 +181,10 @@ std::shared_ptr<const CompiledDatabase> CompiledDatabase::delta_compile(
 }
 
 std::optional<std::uint32_t> CompiledDatabase::slot_of(
-    const std::string& bssid) const {
-  const auto idx = db_->bssid_index(bssid);
-  if (!idx) return std::nullopt;
-  return static_cast<std::uint32_t>(*idx);
+    std::string_view bssid) const {
+  const auto it = slot_index_.find(bssid);
+  if (it == slot_index_.end()) return std::nullopt;
+  return it->second;
 }
 
 CompiledObservation CompiledDatabase::compile_observation(
@@ -184,20 +203,28 @@ void CompiledDatabase::compile_observation_into(
   q.present.assign(stride_, 0.0);
   q.outside_universe = 0;
   q.total_aps = obs.ap_count();
+  q.finite = true;
   q.slots.clear();
-  q.slot_aps.clear();
+  q.samples.clear();
+  q.sample_ends.clear();
   q.slots.reserve(obs.ap_count());
-  q.slot_aps.reserve(obs.ap_count());
+  q.sample_ends.reserve(obs.ap_count());
+  std::size_t readings = 0;
+  for (const ObservedAp& ap : obs.aps()) readings += ap.samples_dbm.size();
+  q.samples.reserve(readings);
 
   const auto& universe = db_->bssid_universe();
   std::size_t j = 0;
   for (const ObservedAp& ap : obs.aps()) {
+    if (!std::isfinite(ap.mean_dbm)) q.finite = false;
     while (j < universe_ && universe[j] < ap.bssid) ++j;
     if (j < universe_ && universe[j] == ap.bssid) {
       q.mean_dbm[j] = ap.mean_dbm;
       q.present[j] = 1.0;
       q.slots.push_back(static_cast<std::uint32_t>(j));
-      q.slot_aps.push_back(&ap);
+      q.samples.insert(q.samples.end(), ap.samples_dbm.begin(),
+                       ap.samples_dbm.end());
+      q.sample_ends.push_back(static_cast<std::uint32_t>(q.samples.size()));
       ++j;
     } else {
       ++q.outside_universe;

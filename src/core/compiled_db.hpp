@@ -21,6 +21,10 @@
 #include <filesystem>
 #include <memory>
 #include <optional>
+#include <span>
+#include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "base/simd.hpp"
@@ -31,10 +35,11 @@
 namespace loctk::core {
 
 /// An Observation lowered onto a compiled universe: dense mean vector,
-/// presence mask, and the list of occupied slots. Produced by
-/// `CompiledDatabase::compile`; valid only against the database that
-/// compiled it, and only while the source Observation is alive (it
-/// keeps per-slot pointers for sample-level scoring).
+/// presence mask, the list of occupied slots, and each slot's raw
+/// readings. Produced by `CompiledDatabase::compile_observation` or
+/// folded straight from a session's scan window (location_service.hpp);
+/// valid only against the database it was lowered onto. Self-contained:
+/// it points into no source object.
 struct CompiledObservation {
   /// Mean dBm per universe slot; 0.0 where the AP was not heard (the
   /// presence mask gates every use, so the fill value never leaks).
@@ -47,18 +52,30 @@ struct CompiledObservation {
   simd::AlignedDoubles present;
   /// Occupied slot ids, ascending (== BSSID order).
   std::vector<std::uint32_t> slots;
-  /// Source aggregate per occupied slot, aligned with `slots`.
-  std::vector<const ObservedAp*> slot_aps;
+  /// Raw readings of every occupied slot, slot after slot in `slots`
+  /// order and in window order within a slot; `sample_ends[i]` is the
+  /// end of slot i's run. Histogram scoring reads them per reading.
+  std::vector<double> samples;
+  std::vector<std::uint32_t> sample_ends;
   /// Observed APs whose BSSID is not in the training universe. They
   /// can never match any training point, so locators fold them into
   /// the missing-AP penalty as a per-observation constant.
   int outside_universe = 0;
   /// Total APs in the source observation.
   std::size_t total_aps = 0;
+  /// False when any observed AP's mean dBm — in the universe or not —
+  /// is non-finite (two finite 1e308 readings overflow their sum).
+  bool finite = true;
 
   /// Occupied slots inside the universe.
   int in_universe() const { return static_cast<int>(slots.size()); }
   bool empty() const { return total_aps == 0; }
+  /// Raw readings of the i-th occupied slot (`slots[i]`), in window
+  /// order; empty when the source kept no raw values.
+  std::span<const double> slot_samples(std::size_t i) const {
+    const std::uint32_t begin = i == 0 ? 0 : sample_ends[i - 1];
+    return {samples.data() + begin, sample_ends[i] - begin};
+  }
 };
 
 /// One incremental update to a compiled radio map: training points to
@@ -84,6 +101,10 @@ class CompiledDatabase {
   /// self-contained — the serve path keeps no string-keyed database
   /// alive anywhere else.
   explicit CompiledDatabase(traindb::TrainingDatabase&& db);
+
+  /// Not copyable: id() names one compilation.
+  CompiledDatabase(const CompiledDatabase&) = delete;
+  CompiledDatabase& operator=(const CompiledDatabase&) = delete;
 
   /// Shared-ownership convenience so several locators reuse one
   /// compilation.
@@ -115,6 +136,12 @@ class CompiledDatabase {
   std::shared_ptr<const CompiledDatabase> delta_compile(
       const DatabaseDelta& delta) const;
 
+  /// Process-unique tag of this compilation, drawn from a counter at
+  /// construction (delta_compile results included) and never reused,
+  /// not even after this object is freed. Sessions tag their cached
+  /// BSSID → slot lowerings with it (location_service.hpp).
+  std::uint64_t id() const { return id_; }
+
   const traindb::TrainingDatabase& database() const { return *db_; }
   std::size_t point_count() const { return points_; }
   std::size_t universe_size() const { return universe_; }
@@ -127,7 +154,8 @@ class CompiledDatabase {
   bool empty() const { return points_ == 0; }
 
   /// Universe slot of `bssid` (the interned id); nullopt when unknown.
-  std::optional<std::uint32_t> slot_of(const std::string& bssid) const;
+  /// One hash probe.
+  std::optional<std::uint32_t> slot_of(std::string_view bssid) const;
 
   /// Lowers an observation onto this universe in one sorted merge.
   CompiledObservation compile_observation(const Observation& obs) const;
@@ -175,6 +203,7 @@ class CompiledDatabase {
                    const std::vector<bool>& row_changed);
 
   void build_matrices();
+  void build_slot_index();
   /// Interns one point's per-AP stats into the row at `base` (row
   /// already zeroed) against db_'s universe; returns the trained-AP
   /// count for the row.
@@ -182,9 +211,14 @@ class CompiledDatabase {
   void delta_build(const CompiledDatabase& base,
                    const std::vector<bool>& row_changed);
 
+  static std::uint64_t next_id();
+
+  std::uint64_t id_ = next_id();
   /// Set only by the owning constructor; db_ then points into it.
   std::shared_ptr<const traindb::TrainingDatabase> owned_;
   const traindb::TrainingDatabase* db_;  // non-owning
+  /// BSSID → slot; keys view the universe strings inside *db_.
+  std::unordered_map<std::string_view, std::uint32_t> slot_index_;
   std::size_t points_ = 0;
   std::size_t universe_ = 0;
   /// Padded row stride (simd::padded_stride(universe_)).

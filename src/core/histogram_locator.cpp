@@ -15,7 +15,7 @@ HistogramLocator::HistogramLocator(const traindb::TrainingDatabase& db,
 HistogramLocator::HistogramLocator(
     std::shared_ptr<const CompiledDatabase> compiled,
     HistogramLocatorConfig config)
-    : compiled_(std::move(compiled)), config_(config) {
+    : CompiledLocator(std::move(compiled)), config_(config) {
   const traindb::TrainingDatabase& db = compiled_->database();
   if (!db.has_samples()) {
     throw traindb::DatabaseError(
@@ -91,16 +91,16 @@ std::vector<HistogramLocator::SlotBins> HistogramLocator::compile_query(
   out.reserve(q.slots.size());
   std::vector<double> counts(bins_ + 1);
   for (std::size_t i = 0; i < q.slots.size(); ++i) {
-    const ObservedAp& ap = *q.slot_aps[i];
+    const std::span<const double> samples = q.slot_samples(i);
     SlotBins sb;
     sb.slot = q.slots[i];
     std::fill(counts.begin(), counts.end(), 0.0);
-    if (ap.samples_dbm.empty()) {
-      counts[bin_of(ap.mean_dbm)] = 1.0;
+    if (samples.empty()) {
+      counts[bin_of(q.mean_dbm[sb.slot])] = 1.0;
       sb.inv_n = 1.0;
     } else {
-      for (const double v : ap.samples_dbm) counts[bin_of(v)] += 1.0;
-      sb.inv_n = 1.0 / static_cast<double>(ap.samples_dbm.size());
+      for (const double v : samples) counts[bin_of(v)] += 1.0;
+      sb.inv_n = 1.0 / static_cast<double>(samples.size());
     }
     for (std::uint32_t b = 0; b <= bins_; ++b) {
       if (counts[b] != 0.0) sb.bins.emplace_back(b, counts[b]);
@@ -146,13 +146,13 @@ double HistogramLocator::log_likelihood(const Observation& obs,
   return total;
 }
 
-LocationEstimate HistogramLocator::locate(const Observation& obs) const {
+LocationEstimate HistogramLocator::locate_compiled(
+    const CompiledObservation& q) const {
   LocationEstimate est;
-  if (obs.empty() || compiled_->empty()) return est;
+  if (q.empty() || compiled_->empty()) return est;
 
   const std::size_t points = compiled_->point_count();
   const std::size_t row = bins_ + 1;
-  const CompiledObservation q = compiled_->compile_observation(obs);
   const std::vector<SlotBins> query = compile_query(q);
 
   // Vectorized across training points: each observed (slot, bin,
@@ -202,7 +202,7 @@ LocationEstimate HistogramLocator::locate(const Observation& obs) const {
   est.position = p.position;
   est.location_name = p.location;
   est.score = best;
-  est.aps_used = static_cast<int>(obs.ap_count());
+  est.aps_used = static_cast<int>(q.total_aps);
   return est;
 }
 

@@ -40,7 +40,7 @@ struct HistogramLocatorConfig {
   double missing_ap_log_penalty = -6.0;
 };
 
-class HistogramLocator : public Locator {
+class HistogramLocator : public CompiledLocator {
  public:
   /// Throws DatabaseError when `db` retains no raw samples.
   explicit HistogramLocator(const traindb::TrainingDatabase& db,
@@ -51,13 +51,16 @@ class HistogramLocator : public Locator {
       std::shared_ptr<const CompiledDatabase> compiled,
       HistogramLocatorConfig config = {});
 
-  LocationEstimate locate(const Observation& obs) const override;
   std::string name() const override { return "histogram"; }
 
   /// Log-likelihood of the observation's raw readings at training
   /// point index `point_index` (string-keyed reference form).
   double log_likelihood(const Observation& obs,
                         std::size_t point_index) const;
+
+ protected:
+  LocationEstimate locate_compiled(
+      const CompiledObservation& q) const override;
 
  private:
   /// One observed slot reduced to bin counts for table scoring.
@@ -72,7 +75,6 @@ class HistogramLocator : public Locator {
   std::size_t bin_of(double x) const;
   std::vector<SlotBins> compile_query(const CompiledObservation& q) const;
 
-  std::shared_ptr<const CompiledDatabase> compiled_;
   HistogramLocatorConfig config_;
   std::size_t bins_ = 0;
   /// Training points padded up to a simd::kLanes multiple — the

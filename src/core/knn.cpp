@@ -13,7 +13,7 @@ KnnLocator::KnnLocator(const traindb::TrainingDatabase& db, KnnConfig config)
 
 KnnLocator::KnnLocator(std::shared_ptr<const CompiledDatabase> compiled,
                        KnnConfig config)
-    : compiled_(std::move(compiled)), config_(config) {
+    : CompiledLocator(std::move(compiled)), config_(config) {
   config_.k = std::max(1, config_.k);
   const std::size_t points = compiled_->point_count();
   const std::size_t universe = compiled_->universe_size();
@@ -54,14 +54,14 @@ double KnnLocator::signal_distance(
   return std::sqrt(sum2);
 }
 
-LocationEstimate KnnLocator::locate(const Observation& obs) const {
+LocationEstimate KnnLocator::locate_compiled(
+    const CompiledObservation& cq) const {
   LocationEstimate est;
-  if (obs.empty() || compiled_->empty()) return est;
+  if (cq.empty() || compiled_->empty()) return est;
 
   const std::size_t points = compiled_->point_count();
   const std::size_t universe = compiled_->universe_size();
   const std::size_t stride = compiled_->row_stride();
-  const CompiledObservation cq = compiled_->compile_observation(obs);
   simd::AlignedDoubles query(stride, 0.0);
   for (std::size_t u = 0; u < universe; ++u) {
     query[u] =
@@ -116,7 +116,7 @@ LocationEstimate KnnLocator::locate(const Observation& obs) const {
   // The nearest neighbor names the cell even when k > 1 interpolates.
   est.location_name = neighbors.front().point->location;
   est.score = -neighbors.front().distance;
-  est.aps_used = static_cast<int>(obs.ap_count());
+  est.aps_used = static_cast<int>(cq.total_aps);
   return est;
 }
 

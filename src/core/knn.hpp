@@ -40,7 +40,7 @@ struct KnnConfig {
 /// with missing APs pre-filled, so the inner loop is a plain squared
 /// distance between double vectors; `signal_distance` keeps the
 /// string-keyed reference form.
-class KnnLocator : public Locator {
+class KnnLocator : public CompiledLocator {
  public:
   explicit KnnLocator(const traindb::TrainingDatabase& db,
                       KnnConfig config = {});
@@ -49,7 +49,6 @@ class KnnLocator : public Locator {
   explicit KnnLocator(std::shared_ptr<const CompiledDatabase> compiled,
                       KnnConfig config = {});
 
-  LocationEstimate locate(const Observation& obs) const override;
   std::string name() const override;
 
   /// Euclidean distance in signal space between the observation and a
@@ -60,8 +59,11 @@ class KnnLocator : public Locator {
 
   const KnnConfig& config() const { return config_; }
 
+ protected:
+  LocationEstimate locate_compiled(
+      const CompiledObservation& q) const override;
+
  private:
-  std::shared_ptr<const CompiledDatabase> compiled_;
   KnnConfig config_;
   /// Built when config_.prune_top_k > 0.
   std::shared_ptr<const CandidatePruner> pruner_;

@@ -13,11 +13,21 @@
 /// Kalman layer smooths the track, and subscribers get callbacks when
 /// the resolved *place* changes (the paper's intro scenario: forward
 /// the incoming call to the recipient's current room).
+///
+/// The window works in slot space (docs/ALGORITHMS.md, "Scan path in
+/// slot space"): a ring of the last `window_scans` scans, each lowered
+/// once to the universe slots of the locator's compiled database and
+/// folded on every scan straight into a CompiledObservation — the same
+/// per-AP means Observation::from_scans computes, bit for bit, with no
+/// Observation built. Locators without a compiled database get an
+/// Observation built from the same ring.
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/locator.hpp"
@@ -86,7 +96,9 @@ class LocationService {
   /// instead of corrupting state: non-finite RSSI samples are dropped
   /// before they reach the window (counted in rejected_samples()), and
   /// a window the locator cannot answer coasts on the Kalman track
-  /// with `fix.degraded_reason` set.
+  /// with `fix.degraded_reason` set. Once the window is full, keeping
+  /// it allocates nothing: ring entries are reused and a compiled
+  /// locator's query is folded in per-thread scratch.
   ServiceFix on_scan(const radio::ScanRecord& scan);
 
   /// on_scan against an explicitly supplied locator — the snapshot
@@ -145,13 +157,53 @@ class LocationService {
   bool bound() const { return locator_ != nullptr; }
 
  private:
+  /// One scan of the window: its finite samples, stored flat so a ring
+  /// entry reused for a later scan keeps its capacity, plus their
+  /// lowering onto the universe of the compilation `lowered_for`.
+  struct WindowScan {
+    /// The samples' BSSIDs back to back; sample k's ends at
+    /// bssid_ends[k].
+    std::string bssids;
+    std::vector<std::size_t> bssid_ends;
+    std::vector<double> rssi_dbm;
+    /// Sample k's universe slot, or kOutsideUniverse.
+    std::vector<std::uint32_t> slots;
+    /// CompiledDatabase::id() `slots` was lowered against; 0 = never.
+    std::uint64_t lowered_for = 0;
+
+    std::size_t size() const { return rssi_dbm.size(); }
+    std::string_view bssid(std::size_t k) const;
+    /// Re-lowers `slots` unless they already belong to `db`.
+    void lower(const CompiledDatabase& db);
+  };
+
   const Locator& bound_locator() const;
+  /// Copies the scan's finite samples into the ring, over the oldest
+  /// entry once the window is full.
+  void push_scan(const radio::ScanRecord& scan);
+  /// Scores the current window: folded in slot space for a compiled
+  /// locator, as an Observation otherwise.
+  Result<LocationEstimate> locate_window(const Locator& locator);
+  /// The window's per-AP means and readings on `db`'s universe, in
+  /// per-thread scratch (valid until this thread's next fold).
+  const CompiledObservation& fold_window(const CompiledDatabase& db);
+  /// The window as scan records, oldest first (non-compiled locators).
+  std::vector<radio::ScanRecord> window_records() const;
+  /// Ring index of the i-th oldest scan.
+  std::size_t ring_index(std::size_t i) const {
+    const std::size_t k = oldest_ + i;
+    return k < window_.size() ? k : k - window_.size();
+  }
 
   /// Set only by the owning constructor; locator_ then points into it.
   std::shared_ptr<const Locator> owned_locator_;
   const Locator* locator_;  // non-owning; nullptr when unbound
   LocationServiceConfig config_;
-  std::vector<radio::ScanRecord> window_;
+  /// Ring of the last window_scans scans; grows lazily, never
+  /// reserved from the config.
+  std::vector<WindowScan> window_;
+  /// Ring index of the oldest scan (0 until the ring is full).
+  std::size_t oldest_ = 0;
   KalmanTracker kalman_;
   ServiceFix fix_;
   std::string candidate_place_;

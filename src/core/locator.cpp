@@ -1,5 +1,7 @@
 #include "core/locator.hpp"
 
+#include <stdexcept>
+
 #include "base/metrics.hpp"
 #include "concurrency/parallel_for.hpp"
 
@@ -8,8 +10,9 @@ namespace loctk::core {
 namespace {
 
 // Shared across every Locator implementation: the non-virtual entry
-// points (try_locate / locate_batch) are the choke points, so counters
-// here see all production traffic regardless of algorithm.
+// points (both try_locate forms and locate_batch) are the only choke
+// points, so counters here see all production traffic regardless of
+// algorithm.
 metrics::Counter& locate_calls() {
   static metrics::Counter& c = metrics::counter("locate.calls");
   return c;
@@ -37,29 +40,31 @@ metrics::Counter& batch_observations() {
   return c;
 }
 
-}  // namespace
-
-Result<LocationEstimate> Locator::try_locate(const Observation& obs) const {
+/// The shared body of both try_locate forms: the degenerate-input
+/// checks in their fixed order, then `score` under the error taxonomy.
+template <class Score>
+Result<LocationEstimate> checked_locate(const Locator& locator, bool empty,
+                                        bool finite, Score score) {
   locate_calls().increment();
   metrics::ScopedTimer timer(locate_latency());
-  if (obs.empty()) {
+  if (empty) {
     locate_degenerate().increment();
     return Error(ErrorCode::kDegenerate, "empty observation")
-        .with_context("locating with " + name());
+        .with_context("locating with " + locator.name());
   }
-  if (!obs.is_finite()) {
+  if (!finite) {
     locate_degenerate().increment();
     return Error(ErrorCode::kDegenerate,
                  "observation contains non-finite dBm values")
-        .with_context("locating with " + name());
+        .with_context("locating with " + locator.name());
   }
   LocationEstimate est;
   try {
-    est = locate(obs);
+    est = score();
   } catch (const std::exception& e) {
     locate_errors().increment();
     return Error(ErrorCode::kInternal, e.what())
-        .with_context("locating with " + name());
+        .with_context("locating with " + locator.name());
   }
   if (!est.valid) {
     // The observation was well-formed but the algorithm has no
@@ -69,9 +74,26 @@ Result<LocationEstimate> Locator::try_locate(const Observation& obs) const {
     return Error(ErrorCode::kDegenerate,
                  "no usable estimate (observation shares too little "
                  "with the training data)")
-        .with_context("locating with " + name());
+        .with_context("locating with " + locator.name());
   }
   return est;
+}
+
+}  // namespace
+
+Result<LocationEstimate> Locator::try_locate(const Observation& obs) const {
+  return checked_locate(*this, obs.empty(), obs.is_finite(),
+                        [&] { return locate(obs); });
+}
+
+Result<LocationEstimate> Locator::try_locate(
+    const CompiledObservation& q) const {
+  return checked_locate(*this, q.empty(), q.finite,
+                        [&] { return locate_compiled(q); });
+}
+
+LocationEstimate Locator::locate_compiled(const CompiledObservation&) const {
+  throw std::logic_error(name() + " has no compiled scoring entry");
 }
 
 std::vector<LocationEstimate> Locator::locate_batch(
@@ -84,16 +106,28 @@ std::vector<LocationEstimate> Locator::locate_batch(
   // parallel body would measure contention, not locate cost.
   metrics::ScopedTimer timer(locate_latency(), obs.size());
   std::vector<LocationEstimate> out(obs.size());
-  auto body = [&](std::size_t i) {
-    out[i] = locate(obs[i]);
-    if (!out[i].valid) locate_degenerate().increment();
-  };
+  locate_batch_impl(obs, pool, out);
+  std::uint64_t degenerate = 0;
+  for (const LocationEstimate& est : out) {
+    if (!est.valid) ++degenerate;
+  }
+  if (degenerate > 0) locate_degenerate().add(degenerate);
+  return out;
+}
+
+void Locator::locate_batch_impl(std::span<const Observation> obs,
+                                concurrency::ThreadPool* pool,
+                                std::span<LocationEstimate> out) const {
+  auto body = [&](std::size_t i) { out[i] = locate(obs[i]); };
   if (pool && obs.size() > 1) {
     concurrency::parallel_for(*pool, 0, obs.size(), body);
   } else {
     for (std::size_t i = 0; i < obs.size(); ++i) body(i);
   }
-  return out;
+}
+
+LocationEstimate CompiledLocator::locate(const Observation& obs) const {
+  return locate_compiled(compiled_->compile_observation(obs));
 }
 
 }  // namespace loctk::core

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "base/error.hpp"
+#include "core/compiled_db.hpp"
 #include "core/observation.hpp"
 #include "geom/vec2.hpp"
 #include "traindb/database.hpp"
@@ -58,6 +59,14 @@ class Locator {
   /// Estimates the client position for one observation.
   virtual LocationEstimate locate(const Observation& obs) const = 0;
 
+  /// The compiled radio map this locator scores against, or nullptr
+  /// for locators that read an Observation directly (geometric, grid,
+  /// Bayes grid, tracked). LocationService folds its scan window onto
+  /// this database and calls try_locate(CompiledObservation) when set.
+  virtual const CompiledDatabase* compiled_database() const {
+    return nullptr;
+  }
+
   /// Taxonomy-speaking locate: instead of the ambiguous
   /// `valid = false`, degenerate inputs come back as a typed
   /// `loctk::Error` saying *why* there is no answer — kDegenerate for
@@ -68,19 +77,68 @@ class Locator {
   /// degraded-mode contract for free.
   Result<LocationEstimate> try_locate(const Observation& obs) const;
 
+  /// try_locate for a query already lowered onto compiled_database():
+  /// the same checks in the same order (empty, then non-finite mean),
+  /// the same error texts, and the same `locate.*` metrics, with no
+  /// Observation built. A locator without a compiled database answers
+  /// kInternal.
+  Result<LocationEstimate> try_locate(const CompiledObservation& q) const;
+
   /// Scores a batch of independent observations (many concurrent
   /// clients, or a replayed capture). With a pool, the batch is
   /// chunked across its workers via `concurrency::parallel_for`;
   /// results are index-aligned with `obs` and identical to calling
-  /// locate() per element. locate() is const and training state is
-  /// immutable after construction, so the default implementation is
-  /// safe for every locator.
-  virtual std::vector<LocationEstimate> locate_batch(
+  /// locate() per element. Feeds the same `locate.*` metrics as
+  /// try_locate, once per observation, around locate_batch_impl.
+  std::vector<LocationEstimate> locate_batch(
       std::span<const Observation> obs,
       concurrency::ThreadPool* pool = nullptr) const;
 
   /// Short algorithm name for reports ("probabilistic-ml", ...).
   virtual std::string name() const = 0;
+
+ protected:
+  /// The scoring entry behind try_locate(CompiledObservation); `q` is
+  /// lowered onto compiled_database(). The default throws
+  /// std::logic_error: the locator has no compiled form.
+  virtual LocationEstimate locate_compiled(
+      const CompiledObservation& q) const;
+
+  /// Writes out[i] = locate(obs[i]); locate_batch wraps it with the
+  /// metrics. The default runs locate() per element, chunked over
+  /// `pool` when given — locate() is const and training state is
+  /// immutable, so that is safe for every locator. Overrides must
+  /// produce identical results.
+  virtual void locate_batch_impl(std::span<const Observation> obs,
+                                 concurrency::ThreadPool* pool,
+                                 std::span<LocationEstimate> out) const;
+};
+
+/// Base of the fingerprint locators that score a CompiledObservation
+/// (probabilistic, place recognition, k-NN, SSD, histogram). Each
+/// implements only locate_compiled; an Observation is lowered here, in
+/// one place, and the live scan path skips the Observation entirely.
+class CompiledLocator : public Locator {
+ public:
+  /// compile_observation, then locate_compiled.
+  LocationEstimate locate(const Observation& obs) const final;
+
+  const CompiledDatabase* compiled_database() const final {
+    return compiled_.get();
+  }
+  const CompiledDatabase& compiled() const { return *compiled_; }
+  const traindb::TrainingDatabase& database() const {
+    return compiled_->database();
+  }
+
+ protected:
+  explicit CompiledLocator(std::shared_ptr<const CompiledDatabase> compiled)
+      : compiled_(std::move(compiled)) {}
+
+  LocationEstimate locate_compiled(
+      const CompiledObservation& q) const override = 0;
+
+  std::shared_ptr<const CompiledDatabase> compiled_;
 };
 
 }  // namespace loctk::core

@@ -44,7 +44,7 @@ PlaceRecognitionLocator::PlaceRecognitionLocator(
 PlaceRecognitionLocator::PlaceRecognitionLocator(
     std::shared_ptr<const CompiledDatabase> compiled,
     PlaceRecognitionConfig config)
-    : compiled_(std::move(compiled)), config_(config) {
+    : CompiledLocator(std::move(compiled)), config_(config) {
   build_model();
 }
 
@@ -162,12 +162,11 @@ void PlaceRecognitionLocator::build_model() {
   }
 }
 
-LocationEstimate PlaceRecognitionLocator::locate(
-    const Observation& obs) const {
+LocationEstimate PlaceRecognitionLocator::locate_compiled(
+    const CompiledObservation& q) const {
   LocationEstimate est;
-  if (obs.empty() || compiled_->empty()) return est;
+  if (q.empty() || compiled_->empty()) return est;
 
-  const CompiledObservation q = compiled_->compile_observation(obs);
   if (q.in_universe() < config_.min_common_aps) return est;
 
   const std::size_t universe = compiled_->universe_size();

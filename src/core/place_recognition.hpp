@@ -79,7 +79,7 @@ struct SlotEvidence {
 };
 
 /// The FAB-MAP-style locator: arg-max over discrete places.
-class PlaceRecognitionLocator : public Locator {
+class PlaceRecognitionLocator : public CompiledLocator {
  public:
   /// Compiles the database privately. `db` must outlive the locator.
   explicit PlaceRecognitionLocator(const traindb::TrainingDatabase& db,
@@ -90,7 +90,6 @@ class PlaceRecognitionLocator : public Locator {
       std::shared_ptr<const CompiledDatabase> compiled,
       PlaceRecognitionConfig config = {});
 
-  LocationEstimate locate(const Observation& obs) const override;
   std::string name() const override { return "place-recognition"; }
 
   /// String-keyed reference score of `obs` at training point `p`:
@@ -108,16 +107,15 @@ class PlaceRecognitionLocator : public Locator {
     return evidence_[slot];
   }
 
-  const traindb::TrainingDatabase& database() const {
-    return compiled_->database();
-  }
-  const CompiledDatabase& compiled() const { return *compiled_; }
   const PlaceRecognitionConfig& config() const { return config_; }
+
+ protected:
+  LocationEstimate locate_compiled(
+      const CompiledObservation& q) const override;
 
  private:
   void build_model();
 
-  std::shared_ptr<const CompiledDatabase> compiled_;
   PlaceRecognitionConfig config_;
   /// Per-point survey pass count (max per-AP scan_count; >= 1).
   std::vector<double> point_scans_;

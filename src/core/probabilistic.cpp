@@ -46,32 +46,6 @@ metrics::Gauge& prune_database_points() {
   return g;
 }
 
-// The same production counters Locator::locate_batch feeds, fetched
-// by name so the quad-kernel override below stays indistinguishable
-// from the base path in every metrics invariant.
-metrics::Counter& locate_calls() {
-  static metrics::Counter& c = metrics::counter("locate.calls");
-  return c;
-}
-metrics::Counter& locate_degenerate() {
-  static metrics::Counter& c = metrics::counter("locate.degenerate");
-  return c;
-}
-metrics::HistogramMetric& locate_latency() {
-  static metrics::HistogramMetric& h =
-      metrics::histogram("locate.latency.seconds");
-  return h;
-}
-metrics::Counter& locate_batch_calls() {
-  static metrics::Counter& c = metrics::counter("locate.batch.calls");
-  return c;
-}
-metrics::Counter& locate_batch_observations() {
-  static metrics::Counter& c =
-      metrics::counter("locate.batch.observations");
-  return c;
-}
-
 /// Cache-blocking geometry for score_batch: observations are chunked
 /// into groups and the training rows into tiles, so one tile of
 /// mean/mask/log_norm/inv_two_var panels is scored against the whole
@@ -88,7 +62,7 @@ ProbabilisticLocator::ProbabilisticLocator(
 ProbabilisticLocator::ProbabilisticLocator(
     std::shared_ptr<const CompiledDatabase> compiled,
     ProbabilisticConfig config)
-    : compiled_(std::move(compiled)), config_(config) {
+    : CompiledLocator(std::move(compiled)), config_(config) {
   build_kernel_tables();
   if (config_.prune_top_k > 0) {
     // ML coarse mode: the pruner ranks candidates with this locator's
@@ -416,11 +390,11 @@ void ProbabilisticLocator::locate_quad(const CompiledObservation* qs,
   }
 }
 
-LocationEstimate ProbabilisticLocator::locate(const Observation& obs) const {
+LocationEstimate ProbabilisticLocator::locate_compiled(
+    const CompiledObservation& q) const {
   LocationEstimate est;
-  if (obs.empty() || compiled_->empty()) return est;
+  if (q.empty() || compiled_->empty()) return est;
 
-  const CompiledObservation q = compiled_->compile_observation(obs);
   if (pruner_) {
     prune_queries().increment();
     const std::vector<std::uint32_t> candidates = pruner_->select(q);
@@ -436,18 +410,15 @@ LocationEstimate ProbabilisticLocator::locate(const Observation& obs) const {
   return best_of_all(q);
 }
 
-std::vector<LocationEstimate> ProbabilisticLocator::locate_batch(
-    std::span<const Observation> obs, concurrency::ThreadPool* pool) const {
+void ProbabilisticLocator::locate_batch_impl(
+    std::span<const Observation> obs, concurrency::ThreadPool* pool,
+    std::span<LocationEstimate> out) const {
   // The pruned configuration is a per-observation adaptive path;
   // the base implementation already parallelizes it correctly.
   if (pruner_ || compiled_->empty()) {
-    return Locator::locate_batch(obs, pool);
+    Locator::locate_batch_impl(obs, pool, out);
+    return;
   }
-  locate_batch_calls().increment();
-  locate_batch_observations().add(obs.size());
-  locate_calls().add(obs.size());
-  metrics::ScopedTimer timer(locate_latency(), obs.size());
-  std::vector<LocationEstimate> out(obs.size());
 
   // Empty observations never reach the kernels (locate() refuses them
   // before compiling, and min_common_aps = 0 would otherwise let an
@@ -481,10 +452,6 @@ std::vector<LocationEstimate> ProbabilisticLocator::locate_batch(
     out[live[k]] =
         best_of_all(compiled_->compile_observation(obs[live[k]]));
   }
-  for (const LocationEstimate& est : out) {
-    if (!est.valid) locate_degenerate().increment();
-  }
-  return out;
 }
 
 }  // namespace loctk::core

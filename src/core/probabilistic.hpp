@@ -70,7 +70,7 @@ struct ScoredPoint {
 };
 
 /// The §5.1 locator.
-class ProbabilisticLocator : public Locator {
+class ProbabilisticLocator : public CompiledLocator {
  public:
   /// `db` must outlive the locator. Compiles the database privately;
   /// prefer the shared-compilation overload when several locators sit
@@ -84,21 +84,7 @@ class ProbabilisticLocator : public Locator {
       std::shared_ptr<const CompiledDatabase> compiled,
       ProbabilisticConfig config = {});
 
-  LocationEstimate locate(const Observation& obs) const override;
   std::string name() const override { return "probabilistic-ml"; }
-
-  /// Batched locate on the observation-major kernel: four observations
-  /// occupy the vector lanes and ride one pass over the training rows,
-  /// with each row's table values broadcast once and the entire
-  /// epilogue (penalties, clamp, arg-max) kept in lanes — no
-  /// horizontal reductions anywhere on the hot path. Results are
-  /// bit-identical to locate() per element (the kernel reproduces the
-  /// slot-major kernel's per-lane partial sums and hsum tree); pruned
-  /// configurations route through the per-observation coarse-to-fine
-  /// path instead.
-  std::vector<LocationEstimate> locate_batch(
-      std::span<const Observation> obs,
-      concurrency::ThreadPool* pool = nullptr) const override;
 
   /// Log-likelihood of `obs` against every training point, in
   /// database order. Skipped points carry -infinity.
@@ -120,15 +106,28 @@ class ProbabilisticLocator : public Locator {
                         int* common_aps = nullptr,
                         int* penalized_aps = nullptr) const;
 
-  const traindb::TrainingDatabase& database() const {
-    return compiled_->database();
-  }
-  const CompiledDatabase& compiled() const { return *compiled_; }
   const ProbabilisticConfig& config() const { return config_; }
 
   /// Pooled sigma for `bssid` (defined whether or not pooling is
   /// enabled); falls back to the floor for unknown BSSIDs.
   double pooled_sigma_db(const std::string& bssid) const;
+
+ protected:
+  LocationEstimate locate_compiled(
+      const CompiledObservation& q) const override;
+
+  /// Batched locate on the observation-major kernel: four observations
+  /// occupy the vector lanes and ride one pass over the training rows,
+  /// with each row's table values broadcast once and the entire
+  /// epilogue (penalties, clamp, arg-max) kept in lanes — no
+  /// horizontal reductions anywhere on the hot path. Results are
+  /// bit-identical to locate() per element (the kernel reproduces the
+  /// slot-major kernel's per-lane partial sums and hsum tree); pruned
+  /// configurations route through the per-observation coarse-to-fine
+  /// path instead.
+  void locate_batch_impl(std::span<const Observation> obs,
+                         concurrency::ThreadPool* pool,
+                         std::span<LocationEstimate> out) const override;
 
  private:
   void build_kernel_tables();
@@ -152,7 +151,6 @@ class ProbabilisticLocator : public Locator {
   void locate_quad(const CompiledObservation* qs,
                    LocationEstimate* out) const;
 
-  std::shared_ptr<const CompiledDatabase> compiled_;
   ProbabilisticConfig config_;
   /// Built when config_.prune_top_k > 0 (shared so the locator stays
   /// copyable).

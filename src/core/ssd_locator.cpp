@@ -15,7 +15,7 @@ SsdLocator::SsdLocator(const traindb::TrainingDatabase& db,
 
 SsdLocator::SsdLocator(std::shared_ptr<const CompiledDatabase> compiled,
                        SsdConfig config)
-    : compiled_(std::move(compiled)), config_(config) {
+    : CompiledLocator(std::move(compiled)), config_(config) {
   config_.k = std::max(1, config_.k);
   config_.min_common_aps = std::max(1, config_.min_common_aps);
 }
@@ -54,13 +54,13 @@ double SsdLocator::ssd_distance(
   return std::sqrt(sum2);
 }
 
-LocationEstimate SsdLocator::locate(const Observation& obs) const {
+LocationEstimate SsdLocator::locate_compiled(
+    const CompiledObservation& q) const {
   LocationEstimate est;
-  if (obs.empty() || compiled_->empty()) return est;
+  if (q.empty() || compiled_->empty()) return est;
 
   const std::size_t points = compiled_->point_count();
   const std::size_t stride = compiled_->row_stride();
-  const CompiledObservation q = compiled_->compile_observation(obs);
 
   struct Neighbor {
     const traindb::TrainingPoint* point;
@@ -107,7 +107,7 @@ LocationEstimate SsdLocator::locate(const Observation& obs) const {
   est.position = weighted / weight_sum;
   est.location_name = neighbors.front().point->location;
   est.score = -neighbors.front().distance;
-  est.aps_used = static_cast<int>(obs.ap_count());
+  est.aps_used = static_cast<int>(q.total_aps);
   return est;
 }
 

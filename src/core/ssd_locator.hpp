@@ -33,7 +33,7 @@ struct SsdConfig {
 /// k-NN over mean-centered (offset-invariant) signatures. Distances
 /// are computed over the APs present on *both* sides, with each
 /// side's mean over that common subset removed.
-class SsdLocator : public Locator {
+class SsdLocator : public CompiledLocator {
  public:
   /// `db` must outlive the locator.
   explicit SsdLocator(const traindb::TrainingDatabase& db,
@@ -43,7 +43,6 @@ class SsdLocator : public Locator {
   explicit SsdLocator(std::shared_ptr<const CompiledDatabase> compiled,
                       SsdConfig config = {});
 
-  LocationEstimate locate(const Observation& obs) const override;
   std::string name() const override;
 
   /// Offset-invariant distance between the observation and a training
@@ -55,8 +54,11 @@ class SsdLocator : public Locator {
 
   const SsdConfig& config() const { return config_; }
 
+ protected:
+  LocationEstimate locate_compiled(
+      const CompiledObservation& q) const override;
+
  private:
-  std::shared_ptr<const CompiledDatabase> compiled_;
   SsdConfig config_;
 };
 

@@ -191,10 +191,16 @@ core::ServiceFix LocationServer::on_scan(SiteId site, DeviceId device,
   EpochDomain::ReadGuard guard(s->epochs);
   const SiteSnapshot* snap = s->current.load(std::memory_order_seq_cst);
 
-  Session* session = s->sessions.find_or_create(device, config_.service);
+  bool created = false;
+  Session* session =
+      s->sessions.find_or_create(device, config_.service, &created);
   if (!session) {
     s->rejected_counter->increment();
     return degraded_fix("[degenerate] serve: session table full");
+  }
+  if (created) {
+    // Sessions are never removed, so the high-water mark is the count.
+    s->sessions_gauge->raise_to(static_cast<double>(s->sessions.size()));
   }
 
   // Serializes this device with itself only; concurrent devices hold
@@ -222,7 +228,6 @@ core::ServiceFix LocationServer::on_scan(SiteId site, DeviceId device,
 
   s->scans_counter->increment();
   total_scans_counter().increment();
-  s->sessions_gauge->set(static_cast<double>(s->sessions.size()));
   s->on_scan_hist->record(seconds_since(start));
   return fix;
 }

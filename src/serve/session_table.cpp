@@ -42,7 +42,9 @@ SessionTable::~SessionTable() {
 }
 
 Session* SessionTable::find_or_create(
-    DeviceId device, const core::LocationServiceConfig& config) {
+    DeviceId device, const core::LocationServiceConfig& config,
+    bool* created) {
+  if (created) *created = false;
   if (device == 0) return nullptr;
   const std::uint64_t h = mix(device);
   Stripe& stripe = stripes_[h & (stripes_.size() - 1)];
@@ -56,10 +58,11 @@ Session* SessionTable::find_or_create(
       // our key (falls through below) or keeps probing.
       if (cell.key.compare_exchange_strong(k, device,
                                            std::memory_order_acq_rel)) {
-        Session* created = new Session(config);
-        cell.session.store(created, std::memory_order_release);
+        Session* session = new Session(config);
+        cell.session.store(session, std::memory_order_release);
         size_.fetch_add(1, std::memory_order_relaxed);
-        return created;
+        if (created) *created = true;
+        return session;
       }
     }
     if (k == device || cell.key.load(std::memory_order_acquire) == device) {

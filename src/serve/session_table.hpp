@@ -78,9 +78,11 @@ class SessionTable {
 
   /// Finds `device`'s session, creating it on first contact. Lock-free
   /// (bounded CAS probes). Returns nullptr when the device is new and
-  /// its stripe is full.
+  /// its stripe is full. `*created`, when given, says whether this call
+  /// created the session.
   Session* find_or_create(DeviceId device,
-                          const core::LocationServiceConfig& config);
+                          const core::LocationServiceConfig& config,
+                          bool* created = nullptr);
 
   /// Lookup without creation; nullptr when absent. When the device's
   /// key is already claimed by a racing find_or_create whose session

@@ -289,6 +289,42 @@ TEST(HistogramMetric, ConcurrentRecordsAreLossless) {
   EXPECT_EQ(snap.bins.total(), snap.count);  // no sample lost in shards
 }
 
+TEST(HistogramMetric, ShardedTotalsAreExactUnderConcurrency) {
+  // More threads than shards, so some shards take two recorders. Every
+  // value is a small integer, so the merged sum is exact in any order.
+  constexpr int kThreads = 12;
+  constexpr int kPerThread = 2000;
+  HistogramOptions opts;
+  opts.lo = 0.0;
+  opts.hi = 1.0e5;
+  opts.bins = 10;
+  opts.log_scale = false;
+  HistogramMetric h(opts);
+  Counter c;
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&h, &c, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        h.record(static_cast<double>(t * kPerThread + i + 1));
+        c.add(static_cast<std::uint64_t>(t + 1));
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  constexpr double n = static_cast<double>(kThreads) * kPerThread;
+  const HistogramSnapshot snap = h.snapshot("conc");
+  EXPECT_EQ(snap.count, static_cast<std::uint64_t>(n));
+  EXPECT_EQ(h.count(), snap.count);
+  EXPECT_EQ(snap.sum, n * (n + 1.0) / 2.0);
+  EXPECT_EQ(snap.min, 1.0);
+  EXPECT_EQ(snap.max, n);
+  EXPECT_EQ(snap.bins.total(), snap.count);
+  EXPECT_EQ(c.value(),
+            static_cast<std::uint64_t>(kPerThread) * kThreads * (kThreads + 1) / 2);
+}
+
 /// --- registry --------------------------------------------------------
 
 TEST(MetricsRegistry, SameNameResolvesToSameObject) {
@@ -389,6 +425,45 @@ TEST(MetricsSnapshot, JsonRoundTrip) {
   EXPECT_DOUBLE_EQ(bin_total, 6.0);
   EXPECT_TRUE(saw_underflow);
   EXPECT_TRUE(saw_overflow);
+}
+
+TEST(MetricsSnapshot, SingleThreadedSnapshotBytesArePinned) {
+  // Counters and histogram totals are sharded per thread; one recording
+  // thread fills one shard, so the export must stay byte-identical to
+  // the unsharded layout's (these bytes were produced by it).
+  MetricsRegistry reg;
+  reg.counter("a.calls").add(7);
+  reg.counter("a.calls").increment();
+  reg.counter("b.idle");
+  reg.gauge("a.gauge").set(2.5);
+  HistogramMetric& h = reg.histogram("a.latency.seconds");
+  for (int i = 1; i <= 50; ++i) h.record(1e-6 * i);
+  h.record_n(3e-3, 4);
+  h.record(0.0);
+  HistogramOptions lin;
+  lin.lo = -10.0;
+  lin.hi = 10.0;
+  lin.bins = 20;
+  lin.log_scale = false;
+  lin.unit = "ft";
+  HistogramMetric& e = reg.histogram("a.error_ft", lin);
+  for (int i = 0; i < 30; ++i) e.record(-12.0 + 0.9 * i);
+
+  const std::string expected = R"json({
+  "counters": {
+    "a.calls": 8,
+    "b.idle": 0
+  },
+  "gauges": {
+    "a.gauge": 2.5
+  },
+  "histograms": {
+    "a.error_ft": {"unit": "ft", "scale": "linear", "count": 30, "sum": 31.50000000000001, "min": -12, "max": 14.100000000000001, "mean": 1.0500000000000003, "p50": 1, "p90": 1e+01, "p99": 1e+01, "bins": [{"lo": null, "hi": -1e+01, "count": 3}, {"lo": -1e+01, "hi": -9, "count": 1}, {"lo": -9, "hi": -8, "count": 1}, {"lo": -8, "hi": -7, "count": 1}, {"lo": -7, "hi": -6, "count": 1}, {"lo": -6, "hi": -5, "count": 1}, {"lo": -5, "hi": -4, "count": 1}, {"lo": -4, "hi": -3, "count": 1}, {"lo": -3, "hi": -2, "count": 2}, {"lo": -2, "hi": -1, "count": 1}, {"lo": -1, "hi": 0, "count": 1}, {"lo": 0, "hi": 1, "count": 1}, {"lo": 1, "hi": 2, "count": 1}, {"lo": 2, "hi": 3, "count": 1}, {"lo": 3, "hi": 4, "count": 1}, {"lo": 4, "hi": 5, "count": 1}, {"lo": 5, "hi": 6, "count": 1}, {"lo": 6, "hi": 7, "count": 2}, {"lo": 7, "hi": 8, "count": 1}, {"lo": 8, "hi": 9, "count": 1}, {"lo": 9, "hi": 1e+01, "count": 1}, {"lo": 1e+01, "hi": null, "count": 5}]},
+    "a.latency.seconds": {"unit": "s", "scale": "log10", "count": 55, "sum": 0.013275, "min": 0, "max": 0.003, "mean": 0.00024136363636363637, "p50": 2.6607250597988085e-05, "p90": 5.8997462559235595e-05, "p99": 0.002999738059779511, "bins": [{"lo": null, "hi": -7, "count": 1}, {"lo": -6, "hi": -5.833333333333334, "count": 1}, {"lo": -5.833333333333334, "hi": -5.666666666666667, "count": 1}, {"lo": -5.666666666666667, "hi": -5.5, "count": 1}, {"lo": -5.5, "hi": -5.333333333333334, "count": 1}, {"lo": -5.333333333333334, "hi": -5.166666666666667, "count": 2}, {"lo": -5.166666666666667, "hi": -5, "count": 3}, {"lo": -5, "hi": -4.833333333333334, "count": 5}, {"lo": -4.833333333333334, "hi": -4.666666666666667, "count": 7}, {"lo": -4.666666666666667, "hi": -4.5, "count": 10}, {"lo": -4.5, "hi": -4.333333333333334, "count": 15}, {"lo": -4.333333333333334, "hi": -4.166666666666667, "count": 4}, {"lo": -2.666666666666667, "hi": -2.5, "count": 4}]}
+  }
+}
+)json";
+  EXPECT_EQ(reg.snapshot().to_json(), expected);
 }
 
 TEST(MetricsSnapshot, EmptySnapshotIsValidJson) {

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "base/metrics.hpp"
 #include "concurrency/thread_pool.hpp"
 #include "core/histogram_locator.hpp"
 #include "core/knn.hpp"
@@ -376,6 +377,58 @@ TEST(CompiledBatch, LocateBatchMatchesSerialAndParallel) {
     for (std::size_t p = 0; p < direct.size(); ++p) {
       EXPECT_EQ(per_point[i][p].log_likelihood, direct[p].log_likelihood);
     }
+  }
+}
+
+// locate.* has one metric site (Locator's non-virtual entry points), so
+// the same observations must move it identically whether they go one by
+// one through try_locate or through the dense quad-kernel and pruned
+// batch paths.
+TEST(CompiledBatch, LocateMetricsMatchAcrossSingleAndBatchPaths) {
+  stats::Rng rng(4407);
+  const auto db = random_db(rng, 40, 12);
+  const auto compiled = CompiledDatabase::compile(db);
+  const ProbabilisticLocator dense(compiled);
+  ProbabilisticConfig pruned_config;
+  pruned_config.prune_top_k = 8;
+  const ProbabilisticLocator pruned(compiled, pruned_config);
+
+  std::vector<Observation> batch;
+  for (int i = 0; i < 10; ++i) batch.push_back(random_obs(rng, 12));
+  batch.push_back(Observation{});
+  std::vector<radio::ScanRecord> rogue(1);
+  rogue[0].samples.push_back({"rogue:only", -60.0, 1});
+  batch.push_back(Observation::from_scans(rogue));
+
+  metrics::Counter& calls = metrics::counter("locate.calls");
+  metrics::Counter& degenerate = metrics::counter("locate.degenerate");
+  metrics::HistogramMetric& latency =
+      metrics::histogram("locate.latency.seconds");
+  struct Delta {
+    std::uint64_t calls, degenerate, latency;
+  };
+  auto measure = [&](auto&& run) {
+    const Delta before{calls.value(), degenerate.value(), latency.count()};
+    run();
+    return Delta{calls.value() - before.calls,
+                 degenerate.value() - before.degenerate,
+                 latency.count() - before.latency};
+  };
+
+  const Delta single = measure([&] {
+    for (const Observation& obs : batch) (void)dense.try_locate(obs);
+  });
+  const Delta dense_batch = measure([&] { (void)dense.locate_batch(batch); });
+  const Delta pruned_batch =
+      measure([&] { (void)pruned.locate_batch(batch); });
+
+  EXPECT_EQ(single.calls, batch.size());
+  EXPECT_EQ(single.latency, batch.size());
+  EXPECT_GE(single.degenerate, 2u);  // the empty and the all-rogue one
+  for (const Delta& d : {dense_batch, pruned_batch}) {
+    EXPECT_EQ(d.calls, single.calls);
+    EXPECT_EQ(d.degenerate, single.degenerate);
+    EXPECT_EQ(d.latency, single.latency);
   }
 }
 
