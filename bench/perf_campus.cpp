@@ -2,9 +2,11 @@
 // engine on a generated 2-building x 3-floor campus (1020 APs, 240
 // surveyed rooms) instead of the single-floor office corpus
 // perf_score_kernel uses. The interesting deltas live here, not
-// there: pruning only earns its keep past a few hundred rows, floor
-// selection folds six per-floor locators per fix, and compiling a
-// 1000-slot universe is the unit of work every snapshot swap pays.
+// there: a window hears under a tenth of the universe, so the sparse
+// sweep skips most cells and batches take it instead of the quad
+// kernel; floor selection folds six per-floor locators per fix, and
+// compiling a 1000-slot universe is the unit of work every snapshot
+// swap pays.
 
 #include <benchmark/benchmark.h>
 
@@ -33,6 +35,11 @@ struct CampusCorpus {
     radio::Scanner scanner(view, radio::ChannelConfig{}, 99);
     observation =
         core::Observation::from_scans(scanner.collect(rooms[3], 8));
+    // A working-phase batch: 64 clients spread over the floor's rooms.
+    for (std::size_t i = 0; i < 64; ++i) {
+      batch.push_back(core::Observation::from_scans(
+          scanner.collect(rooms[(i * 7) % rooms.size()], 8)));
+    }
   }
 
   static testkit::ScenarioSpec make_spec() {
@@ -45,6 +52,7 @@ struct CampusCorpus {
   testkit::Scenario scenario;
   std::vector<const traindb::TrainingDatabase*> floors;
   core::Observation observation;
+  std::vector<core::Observation> batch;
 };
 
 const CampusCorpus& campus() {
@@ -52,16 +60,9 @@ const CampusCorpus& campus() {
   return c;
 }
 
-core::ProbabilisticConfig pruned_config() {
-  core::ProbabilisticConfig config;
-  config.prune_top_k = 32;
-  config.prune_strongest_aps = 4;
-  return config;
-}
-
-// The exhaustive sweep over all 240 rows x 1020-slot rows: the cost
-// pruning is measured against.
-void BM_CampusLocate_Exhaustive(benchmark::State& state) {
+// The exact sparse sweep: only the cells of the ~100 heard APs out of
+// 240 rows x 1020-slot rows.
+void BM_CampusLocate(benchmark::State& state) {
   const CampusCorpus& c = campus();
   const core::ProbabilisticLocator locator(c.scenario.database());
   for (auto _ : state) {
@@ -72,26 +73,26 @@ void BM_CampusLocate_Exhaustive(benchmark::State& state) {
   state.counters["universe"] = static_cast<double>(
       c.scenario.database().bssid_universe().size());
 }
-BENCHMARK(BM_CampusLocate_Exhaustive)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_CampusLocate)->Unit(benchmark::kMicrosecond);
 
-// Coarse-to-fine on the ML coarse mode (exact restricted likelihood
-// over the candidate union) — top-1 identical to the exhaustive sweep
-// by construction, so this line is pure speedup.
-void BM_CampusLocate_Pruned(benchmark::State& state) {
+// 64 observations through locate_batch: a campus map is sparse, so the
+// batch runs one sweep per observation (perf_score_kernel's
+// BM_Batch64_DenseSerial covers the quad-kernel side).
+void BM_CampusLocateBatch64(benchmark::State& state) {
   const CampusCorpus& c = campus();
-  const core::ProbabilisticLocator locator(c.scenario.database(),
-                                           pruned_config());
+  const core::ProbabilisticLocator locator(c.scenario.database());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(locator.locate(c.observation));
+    benchmark::DoNotOptimize(locator.locate_batch(c.batch));
   }
+  state.counters["obs"] = static_cast<double>(c.batch.size());
 }
-BENCHMARK(BM_CampusLocate_Pruned)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_CampusLocateBatch64)->Unit(benchmark::kMicrosecond);
 
-// Floor determination + in-floor fix: six per-floor pruned locates
-// plus the per-term normalized fold.
+// Floor determination + in-floor fix: six per-floor locates plus the
+// per-term normalized fold.
 void BM_CampusFloorSelect(benchmark::State& state) {
   const CampusCorpus& c = campus();
-  const core::FloorSelector selector(c.floors, pruned_config());
+  const core::FloorSelector selector(c.floors);
   for (auto _ : state) {
     benchmark::DoNotOptimize(selector.locate(c.observation));
   }

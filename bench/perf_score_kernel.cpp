@@ -220,7 +220,7 @@ BENCHMARK(BM_Batch64_DenseParallel)->Arg(2)->Arg(4)
 
 // The v2 scoring engine: cache-blocked score_batch throughput
 // (observations/sec via items_per_second) and the coarse-to-fine
-// pruned locate path vs the exhaustive sweep. `simd` in the counters
+// pruned k-NN path. `simd` in the counters
 // records which backend the binary dispatched to ("avx2"/"neon" = 1,
 // scalar fallback = 0) so the JSON trajectory stays interpretable
 // across build configurations.
@@ -249,21 +249,6 @@ void BM_ScoreBatch64_BlockedParallel(benchmark::State& state) {
 }
 BENCHMARK(BM_ScoreBatch64_BlockedParallel)->Arg(2)->Arg(4)
     ->UseRealTime()->Unit(benchmark::kMillisecond);
-
-void BM_Locate_Pruned(benchmark::State& state) {
-  const OfficeCorpus& c = office();
-  core::ProbabilisticConfig config;
-  config.prune_top_k = static_cast<int>(state.range(0));
-  const core::ProbabilisticLocator locator(c.db, config);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(locator.locate(c.observation));
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.counters["points"] = static_cast<double>(c.db.size());
-  state.counters["top_k"] = static_cast<double>(state.range(0));
-}
-BENCHMARK(BM_Locate_Pruned)->Arg(16)->Arg(32)->Arg(64)
-    ->Unit(benchmark::kMicrosecond);
 
 void BM_Knn_Pruned(benchmark::State& state) {
   const OfficeCorpus& c = office();

@@ -5,8 +5,8 @@
 // and a full snapshot swap.
 //
 // The office corpus matches perf_score_kernel (120x80 ft, 6 APs, 5-ft
-// grid); every site snapshot is a pruned §5.1 probabilistic locator —
-// the production serve configuration.
+// grid); every site snapshot is a §5.1 probabilistic locator — the
+// production serve configuration.
 
 #include <benchmark/benchmark.h>
 
@@ -56,10 +56,7 @@ struct ServeCorpus {
   /// A fresh locator snapshot over the shared compilation — what a
   /// production republish installs.
   std::shared_ptr<const core::Locator> make_locator() const {
-    core::ProbabilisticConfig config;
-    config.prune_top_k = 32;
-    config.prune_strongest_aps = 4;
-    return std::make_shared<core::ProbabilisticLocator>(compiled, config);
+    return std::make_shared<core::ProbabilisticLocator>(compiled);
   }
 
   core::Testbed testbed;
@@ -85,7 +82,7 @@ serve::LocationServerConfig serve_config() {
 // acceptance gate compares items_per_second at 1 vs 8 threads). Four
 // sites; each thread owns a disjoint device population spread across
 // them, so the measurement includes site routing, the epoch pin, the
-// session lookup, and the full pruned locate.
+// session lookup, and the full locate.
 void BM_ServerOnScan(benchmark::State& state) {
   const ServeCorpus& c = corpus();
   static serve::LocationServer* server = nullptr;

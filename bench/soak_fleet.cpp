@@ -282,14 +282,7 @@ int main(int argc, char** argv) {
     std::printf("wrote %s\n", opt.trace_path.c_str());
   }
 
-  // Soak the coarse-to-fine path: fleet scale is exactly where the
-  // pruner earns its keep, and running it here keeps the degenerate
-  // fallback under concurrent fault-schedule load.
-  core::ProbabilisticConfig locator_config;
-  locator_config.prune_top_k = 32;
-  locator_config.prune_strongest_aps = 4;
-  const core::ProbabilisticLocator locator(scenario.database(),
-                                           locator_config);
+  const core::ProbabilisticLocator locator(scenario.database());
   testkit::SoakConfig config;
   config.max_p99_on_scan_s = opt.max_p99_s;
   const testkit::SoakResult result =
@@ -299,27 +292,6 @@ int main(int argc, char** argv) {
   std::printf("  wall %.2fs   on_scan mean %.1fus   p99 %.1fus\n",
               result.wall_s, 1e6 * result.mean_on_scan_s,
               1e6 * result.p99_on_scan_s);
-
-  // Pruner effectiveness: exact candidates scored vs the exhaustive
-  // point count, plus how often the degenerate fallback fired. The
-  // counters also land in the --metrics snapshot.
-  {
-    const double queries = static_cast<double>(
-        metrics::counter("score.prune.queries").value());
-    const double scored = static_cast<double>(
-        metrics::counter("score.prune.candidates_scored").value());
-    const double fallback = static_cast<double>(
-        metrics::counter("score.prune.fallback_full").value());
-    const double points =
-        metrics::gauge("score.prune.database_points").value();
-    if (queries > 0.0 && points > 0.0) {
-      std::printf(
-          "  pruner: %.0f queries, %.1f candidates/query of %.0f points "
-          "(%.1f%% scored), %.0f full-pass fallbacks\n",
-          queries, scored / queries, points,
-          100.0 * scored / (queries * points), fallback);
-    }
-  }
 
   if (!opt.report_path.empty()) {
     write_text_file(opt.report_path, result.report.to_json());

@@ -1,14 +1,14 @@
 #pragma once
 
 /// \file candidate_pruner.hpp
-/// Coarse-to-fine candidate selection for the scoring engine.
+/// Coarse-to-fine candidate selection for the k-NN locator.
 ///
 /// Brute-force scoring visits every training point per observation.
 /// On campus-scale maps almost all of those rows lose by a mile: a
 /// training point that never heard the observation's strongest APs is
-/// not going to win the likelihood arg-max. The pruner exploits that
-/// with the same inverted-index idea `signal_index` applies to
-/// geometric NN search, but specialized to the SoA scoring path:
+/// not going to be its nearest neighbor. The pruner exploits that with
+/// the same inverted-index idea `signal_index` applies to geometric NN
+/// search, but specialized to the SoA scoring path:
 ///
 ///  1. At build time, a CSR postings list maps each universe slot to
 ///     the training rows trained on it.
@@ -17,8 +17,7 @@
 ///     touched row is then coarse-scored over ALL of the query's
 ///     observed slots: the negated squared dBm gap, with untrained
 ///     slots charged against `missing_dbm` — the exact k-NN distance
-///     restricted to the observed dimensions, and a penalty-aware
-///     proxy for the probabilistic likelihood. Scoring only touched
+///     restricted to the observed dimensions. Scoring only touched
 ///     rows keeps the cost O(candidates x observed APs), far below an
 ///     exact full sweep.
 ///  3. Keep the best `top_k` rows; the caller scores ONLY those with
@@ -30,26 +29,18 @@
 /// database is small enough that pruning cannot shrink the work
 /// (point_count <= top_k), when the observation has no finite
 /// in-universe AP, or when no training row matches any strong AP.
-/// Locators additionally fall back when the pruned pass yields no
-/// valid estimate, so enabling pruning can never turn a valid answer
-/// into an invalid one.
 ///
-/// ML coarse mode (`PrunerConfig::ml_tables`): the gap metric above is
-/// congruent with the k-NN distance but NOT with the probabilistic
-/// likelihood at campus cardinality — the likelihood charges a flat
-/// `missing_ap_log_penalty` per visibility disagreement, so a sparsely
-/// trained row (a corner room hearing a handful of APs) can win the
-/// exact arg-max while the gap metric, charging (observed - missing)²
-/// per untrained slot, ranks it near dead last and prunes it out.
-/// When the consumer supplies its Gaussian tables, the pruner instead
-/// seeds candidates from EVERY finite observed slot's postings and
-/// coarse-ranks them with the consumer's own score gathered over the
-/// observed slots only — mathematically the exact likelihood (the
-/// dense kernel's Gaussian terms are zero off the observation, and the
-/// penalty terms are closed-form in the counts), at
-/// O(candidates x observed APs) cost. Any row sharing at least one AP
-/// with the observation is ranked by its true score, so the exact
-/// winner can only leave the top-k on a sub-rounding-noise tie.
+/// The gap metric is congruent with the k-NN distance but not with the
+/// §5.1 likelihood, which charges a flat penalty per visibility
+/// disagreement; the probabilistic locator therefore does not prune at
+/// all (its exact sparse sweep is faster), and
+/// `ProbabilisticConfig::prune_top_k` no longer affects it.
+///
+/// Metrics: `score.prune.queries` and `score.prune.candidates_scored`
+/// count select() calls and the rows they return,
+/// `score.prune.database_points` is the last-built pruner's row count,
+/// and the k-NN locator counts `score.prune.fallback_full` when it
+/// takes the full pass.
 
 #include <cstdint>
 #include <memory>
@@ -58,17 +49,6 @@
 #include "core/compiled_db.hpp"
 
 namespace loctk::core {
-
-/// Per-cell Gaussian constants of the probabilistic kernel, row-major
-/// points x row_stride() with exact zeros at untrained slots and in
-/// the stride pad:
-///   log_pdf(x) = log_norm - (x - mean)² · inv_two_var.
-/// Owned by the locator that built them and shared with its pruner
-/// (ML coarse mode), so copies of either stay valid.
-struct GaussianTables {
-  simd::AlignedDoubles log_norm;
-  simd::AlignedDoubles inv_two_var;
-};
 
 struct PrunerConfig {
   /// How many of the observation's loudest in-universe APs seed the
@@ -80,18 +60,6 @@ struct PrunerConfig {
   /// observed slot — keeps the coarse ranking congruent with the
   /// k-NN distance (KnnConfig::missing_dbm).
   double missing_dbm = -100.0;
-  /// When set, switches the coarse rank to ML mode (see file comment):
-  /// candidates seed from every finite observed slot and are ranked by
-  /// the consumer's own restricted score built from these tables plus
-  /// the two knobs below. `strongest_aps` and `missing_dbm` are
-  /// ignored in this mode.
-  std::shared_ptr<const GaussianTables> ml_tables;
-  /// The consumer's ProbabilisticConfig::missing_ap_log_penalty.
-  double ml_missing_penalty = -6.0;
-  /// The consumer's ProbabilisticConfig::min_common_aps: rows below it
-  /// coarse-score -infinity (the exact pass skips them, so they must
-  /// not occupy candidate slots).
-  int ml_min_common_aps = 1;
 };
 
 class CandidatePruner {
@@ -107,10 +75,8 @@ class CandidatePruner {
   const PrunerConfig& config() const { return config_; }
 
  private:
-  /// The ML-mode selection (config_.ml_tables set): all-observed-slot
-  /// candidate union, coarse rank = the consumer's restricted score.
-  std::vector<std::uint32_t> select_ml(const CompiledObservation& q,
-                                       std::size_t top_k) const;
+  /// select() without the metrics.
+  std::vector<std::uint32_t> candidates(const CompiledObservation& q) const;
 
   std::shared_ptr<const CompiledDatabase> compiled_;
   PrunerConfig config_;

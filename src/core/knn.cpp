@@ -4,6 +4,7 @@
 #include <cmath>
 #include <vector>
 
+#include "base/metrics.hpp"
 #include "core/score_kernels.hpp"
 
 namespace loctk::core {
@@ -86,6 +87,11 @@ LocationEstimate KnnLocator::locate_compiled(
     neighbors.reserve(candidates.size());
     for (const std::uint32_t p : candidates) rank_row(p);
   } else {
+    if (pruner_) {
+      static metrics::Counter& fallback_full =
+          metrics::counter("score.prune.fallback_full");
+      fallback_full.increment();
+    }
     neighbors.reserve(points);
     for (std::size_t p = 0; p < points; ++p) rank_row(p);
   }

@@ -27,24 +27,6 @@ metrics::HistogramMetric& score_latency() {
       metrics::histogram("score.latency.seconds");
   return h;
 }
-metrics::Counter& prune_queries() {
-  static metrics::Counter& c = metrics::counter("score.prune.queries");
-  return c;
-}
-metrics::Counter& prune_candidates_scored() {
-  static metrics::Counter& c =
-      metrics::counter("score.prune.candidates_scored");
-  return c;
-}
-metrics::Counter& prune_fallback_full() {
-  static metrics::Counter& c =
-      metrics::counter("score.prune.fallback_full");
-  return c;
-}
-metrics::Gauge& prune_database_points() {
-  static metrics::Gauge& g = metrics::gauge("score.prune.database_points");
-  return g;
-}
 
 /// Cache-blocking geometry for score_batch: observations are chunked
 /// into groups and the training rows into tiles, so one tile of
@@ -52,6 +34,33 @@ metrics::Gauge& prune_database_points() {
 /// group while it is L1/L2-resident.
 constexpr std::size_t kBatchGroup = 8;
 constexpr std::size_t kPointTile = 64;
+
+/// The arg-max every single-query path shares: rows in database
+/// order, the first row always taken and later rows only when
+/// strictly greater (ties keep the lowest row; a NaN first row
+/// sticks), and an -inf winner means no valid estimate.
+template <class Scored>
+LocationEstimate best_of(std::size_t points, Scored scored) {
+  LocationEstimate est;
+  ScoredPoint best;
+  best.log_likelihood = -std::numeric_limits<double>::infinity();
+  for (std::size_t p = 0; p < points; ++p) {
+    const ScoredPoint sp = scored(p);
+    if (best.point == nullptr || sp.log_likelihood > best.log_likelihood) {
+      best = sp;
+    }
+  }
+  if (best.point == nullptr ||
+      best.log_likelihood == -std::numeric_limits<double>::infinity()) {
+    return est;
+  }
+  est.valid = true;
+  est.position = best.point->position;
+  est.location_name = best.point->location;
+  est.score = best.log_likelihood;
+  est.aps_used = best.common_aps;
+  return est;
+}
 
 }  // namespace
 
@@ -64,20 +73,6 @@ ProbabilisticLocator::ProbabilisticLocator(
     ProbabilisticConfig config)
     : CompiledLocator(std::move(compiled)), config_(config) {
   build_kernel_tables();
-  if (config_.prune_top_k > 0) {
-    // ML coarse mode: the pruner ranks candidates with this locator's
-    // own restricted score, so the exact arg-max is never pruned out
-    // (candidate_pruner.hpp, "ML coarse mode").
-    pruner_ = std::make_shared<const CandidatePruner>(
-        compiled_,
-        PrunerConfig{.strongest_aps = config_.prune_strongest_aps,
-                     .top_k = config_.prune_top_k,
-                     .ml_tables = tables_,
-                     .ml_missing_penalty = config_.missing_ap_log_penalty,
-                     .ml_min_common_aps = config_.min_common_aps});
-    prune_database_points().set(
-        static_cast<double>(compiled_->point_count()));
-  }
 }
 
 void ProbabilisticLocator::build_kernel_tables() {
@@ -85,16 +80,22 @@ void ProbabilisticLocator::build_kernel_tables() {
   const std::size_t universe = compiled_->universe_size();
 
   // Pooled per-AP sigma: sample-count-weighted RMS of the per-point
-  // sigmas (i.e. pooled variance), in one pass over the dense rows.
+  // sigmas (i.e. pooled variance), in one pass over the dense rows
+  // that also counts each slot's trained cells for the postings.
+  auto tables = std::make_shared<GaussianTables>();
+  GaussianTables::Postings& post = tables->postings;
+  post.offsets.assign(universe + 1, 0);
   pooled_sigma_.assign(universe, config_.sigma_floor_db);
   std::vector<double> var_sum(universe, 0.0);
   std::vector<double> weight(universe, 0.0);
   for (std::size_t p = 0; p < points; ++p) {
     const double* sd = compiled_->stddev_row(p);
     const double* w = compiled_->weight_row(p);
+    const double* mask = compiled_->mask_row(p);
     for (std::size_t u = 0; u < universe; ++u) {
       var_sum[u] += w[u] * sd[u] * sd[u];
       weight[u] += w[u];
+      post.offsets[u + 1] += mask[u] != 0.0 ? 1 : 0;
     }
   }
   for (std::size_t u = 0; u < universe; ++u) {
@@ -104,15 +105,28 @@ void ProbabilisticLocator::build_kernel_tables() {
     }
   }
 
-  // Per-cell Gaussian constants. Untrained slots (and the stride pad)
-  // get exact zeros so the branchless kernel's masked terms stay
-  // finite; the tables share the compiled matrices' aligned padded
-  // layout so score_point can run unmasked vector loads.
+  // Per-cell Gaussian constants, in both layouts. Dense: untrained
+  // slots (and the stride pad) get exact zeros so the branchless
+  // kernel's masked terms stay finite; the tables share the compiled
+  // matrices' aligned padded layout so scored_point can run unmasked
+  // vector loads. Sparse: each trained cell also lands at its slot's
+  // next posting, filled in this row-major pass so the matrices are
+  // read sequentially.
   const std::size_t stride = compiled_->row_stride();
-  auto tables = std::make_shared<GaussianTables>();
   tables->log_norm.assign(points * stride, 0.0);
   tables->inv_two_var.assign(points * stride, 0.0);
+  for (std::size_t u = 0; u < universe; ++u) {
+    post.offsets[u + 1] += post.offsets[u];
+  }
+  const std::size_t cells = post.offsets[universe];
+  post.row.resize(cells);
+  post.mean.resize(cells);
+  post.log_norm.resize(cells);
+  post.inv_two_var.resize(cells);
+  std::vector<std::uint32_t> cursor(post.offsets.begin(),
+                                    post.offsets.end() - 1);
   for (std::size_t p = 0; p < points; ++p) {
+    const double* mean = compiled_->mean_row(p);
     const double* sd = compiled_->stddev_row(p);
     const double* mask = compiled_->mask_row(p);
     const std::size_t base = p * stride;
@@ -122,11 +136,29 @@ void ProbabilisticLocator::build_kernel_tables() {
           config_.use_pooled_sigma
               ? pooled_sigma_[u]
               : std::max(sd[u], config_.sigma_floor_db);
-      tables->log_norm[base + u] =
-          -0.5 * std::log(stats::kTwoPi * sigma * sigma);
-      tables->inv_two_var[base + u] = 0.5 / (sigma * sigma);
+      const double log_norm = -0.5 * std::log(stats::kTwoPi * sigma * sigma);
+      const double inv_two_var = 0.5 / (sigma * sigma);
+      tables->log_norm[base + u] = log_norm;
+      tables->inv_two_var[base + u] = inv_two_var;
+      const std::uint32_t i = cursor[u]++;
+      post.row[i] = static_cast<std::uint32_t>(p);
+      post.mean[i] = mean[u];
+      post.log_norm[i] = log_norm;
+      post.inv_two_var[i] = inv_two_var;
+      // The dense kernel's term for this cell when the slot is not
+      // heard (query mean 0.0), which it multiplies by 0: the sweep
+      // may skip it only if that product is ±0.
+      const double d = 0.0 - mean[u];
+      if (!std::isfinite(log_norm - d * d * inv_two_var)) {
+        sweep_exact_ = false;
+      }
     }
   }
+
+  // The batch path follows the map's fill: per-observation sweeps win
+  // while under a quarter of the padded cells are trained (a campus
+  // sits near 6%, the paper house and office floors at 50-64%).
+  batch_sweeps_ = cells * 4 < points * stride;
   tables_ = std::move(tables);
 }
 
@@ -180,58 +212,33 @@ double ProbabilisticLocator::log_likelihood(
   return total;
 }
 
-double ProbabilisticLocator::score_point(std::size_t point,
-                                         const CompiledObservation& q,
-                                         int* common_aps) const {
+ScoredPoint ProbabilisticLocator::finish_row(
+    std::size_t point, double gauss, int common,
+    const CompiledObservation& q) const {
+  ScoredPoint sp;
+  sp.point = &compiled_->point(point);
+  sp.common_aps = common;
+  // Penalties = trained-only + observed-only (inside or outside the
+  // trained universe).
+  const int penalties = compiled_->trained_count(point) + q.in_universe() +
+                        q.outside_universe - 2 * common;
+  sp.log_likelihood =
+      gauss + config_.missing_ap_log_penalty * static_cast<double>(penalties);
+  if (common < config_.min_common_aps) {
+    sp.log_likelihood = -std::numeric_limits<double>::infinity();
+  }
+  return sp;
+}
+
+ScoredPoint ProbabilisticLocator::scored_point(
+    std::size_t point, const CompiledObservation& q) const {
   const std::size_t stride = compiled_->row_stride();
   const kernels::ProbRowScore s = kernels::prob_score_row<simd::Vec4d>(
       compiled_->mean_row(point), compiled_->mask_row(point),
       tables_->log_norm.data() + point * stride,
       tables_->inv_two_var.data() + point * stride, q.mean_dbm.data(),
       q.present.data(), stride);
-  const int common_i = static_cast<int>(s.common);
-  // Penalties = trained-only + observed-only (inside or outside the
-  // trained universe).
-  const int penalties = compiled_->trained_count(point) + q.in_universe() +
-                        q.outside_universe - 2 * common_i;
-  if (common_aps) *common_aps = common_i;
-  return s.gauss +
-         config_.missing_ap_log_penalty * static_cast<double>(penalties);
-}
-
-ScoredPoint ProbabilisticLocator::scored_point(
-    std::size_t point, const CompiledObservation& q) const {
-  ScoredPoint sp;
-  sp.point = &compiled_->point(point);
-  sp.log_likelihood = score_point(point, q, &sp.common_aps);
-  if (sp.common_aps < config_.min_common_aps) {
-    sp.log_likelihood = -std::numeric_limits<double>::infinity();
-  }
-  return sp;
-}
-
-LocationEstimate ProbabilisticLocator::best_of_rows(
-    std::span<const std::uint32_t> rows,
-    const CompiledObservation& q) const {
-  LocationEstimate est;
-  ScoredPoint best;
-  best.log_likelihood = -std::numeric_limits<double>::infinity();
-  for (const std::uint32_t p : rows) {
-    const ScoredPoint sp = scored_point(p, q);
-    if (best.point == nullptr || sp.log_likelihood > best.log_likelihood) {
-      best = sp;
-    }
-  }
-  if (best.point == nullptr ||
-      best.log_likelihood == -std::numeric_limits<double>::infinity()) {
-    return est;
-  }
-  est.valid = true;
-  est.position = best.point->position;
-  est.location_name = best.point->location;
-  est.score = best.log_likelihood;
-  est.aps_used = best.common_aps;
-  return est;
+  return finish_row(point, s.gauss, static_cast<int>(s.common), q);
 }
 
 std::vector<ScoredPoint> ProbabilisticLocator::score_all(
@@ -287,25 +294,54 @@ std::vector<std::vector<ScoredPoint>> ProbabilisticLocator::score_batch(
 
 LocationEstimate ProbabilisticLocator::best_of_all(
     const CompiledObservation& q) const {
-  LocationEstimate est;
-  ScoredPoint best;
-  best.log_likelihood = -std::numeric_limits<double>::infinity();
-  for (std::size_t p = 0; p < compiled_->point_count(); ++p) {
-    const ScoredPoint sp = scored_point(p, q);
-    if (best.point == nullptr || sp.log_likelihood > best.log_likelihood) {
-      best = sp;
+  return best_of(compiled_->point_count(),
+                 [&](std::size_t p) { return scored_point(p, q); });
+}
+
+LocationEstimate ProbabilisticLocator::sweep(
+    const CompiledObservation& q) const {
+  // Bit-identity with best_of_all. The dense kernel adds
+  // mask·present·(log_norm - d²·inv_two_var) into lane u mod 4 in
+  // ascending u, then reduces (l0+l2)+(l1+l3). A cell this sweep skips
+  // has mask or present 0, so the dense kernel adds 0 × term, which is
+  // ±0 when the term is finite: the constructor checked that for every
+  // trained cell left unheard (sweep_exact_), and the loop below checks
+  // it for every heard slot against untrained rows (term -(x - 0)²·0). A
+  // lane that starts at +0 can never become -0, so adding ±0 leaves
+  // it unchanged: visiting only the heard cells of each row, in
+  // ascending slot order, into the same lanes, gives the same sums.
+  for (const std::uint32_t slot : q.slots) {
+    const double x = q.mean_dbm[slot];
+    if (!std::isfinite(x * x)) return best_of_all(q);
+  }
+
+  // Per-thread accumulators, lane-major (lane j of row p at
+  // lanes[j * points + p]); zeroed per query, so only their capacity
+  // carries over between queries and locators.
+  const std::size_t points = compiled_->point_count();
+  thread_local std::vector<double> lane_scratch;
+  thread_local std::vector<int> common_scratch;
+  lane_scratch.assign(simd::kLanes * points, 0.0);
+  common_scratch.assign(points, 0);
+  double* const lanes = lane_scratch.data();
+  int* const common = common_scratch.data();
+  const GaussianTables::Postings& post = tables_->postings;
+  for (const std::uint32_t slot : q.slots) {
+    const double x = q.mean_dbm[slot];
+    double* const lane = lanes + (slot % simd::kLanes) * points;
+    for (std::uint32_t i = post.offsets[slot]; i < post.offsets[slot + 1];
+         ++i) {
+      const std::uint32_t row = post.row[i];
+      const double d = x - post.mean[i];
+      lane[row] += post.log_norm[i] - d * d * post.inv_two_var[i];
+      ++common[row];
     }
   }
-  if (best.point == nullptr ||
-      best.log_likelihood == -std::numeric_limits<double>::infinity()) {
-    return est;
-  }
-  est.valid = true;
-  est.position = best.point->position;
-  est.location_name = best.point->location;
-  est.score = best.log_likelihood;
-  est.aps_used = best.common_aps;
-  return est;
+  return best_of(points, [&](std::size_t p) {
+    const double gauss = (lanes[p] + lanes[2 * points + p]) +
+                         (lanes[points + p] + lanes[3 * points + p]);
+    return finish_row(p, gauss, common[p], q);
+  });
 }
 
 void ProbabilisticLocator::locate_quad(const CompiledObservation* qs,
@@ -363,6 +399,13 @@ void ProbabilisticLocator::locate_quad(const CompiledObservation* qs,
     const V pen = (v_trained + v_k) - v_two * common;
     V ll = gauss + v_penalty * pen;
     ll = V::select_ge(common, v_min_common, ll, v_ninf);
+    if (p == 0) {
+      // best_of takes the first row unconditionally (a NaN first row
+      // sticks), so the lanes do too.
+      best_ll = ll;
+      best_common = common;
+      continue;
+    }
     const V v_row = V::broadcast(static_cast<double>(p));
     best_row = V::select_gt(ll, best_ll, v_row, best_row);
     best_common = V::select_gt(ll, best_ll, common, best_common);
@@ -392,44 +435,44 @@ void ProbabilisticLocator::locate_quad(const CompiledObservation* qs,
 
 LocationEstimate ProbabilisticLocator::locate_compiled(
     const CompiledObservation& q) const {
-  LocationEstimate est;
-  if (q.empty() || compiled_->empty()) return est;
-
-  if (pruner_) {
-    prune_queries().increment();
-    const std::vector<std::uint32_t> candidates = pruner_->select(q);
-    if (!candidates.empty()) {
-      prune_candidates_scored().add(candidates.size());
-      est = best_of_rows(candidates, q);
-      if (est.valid) return est;
-    }
-    // Degenerate prefilter or no valid candidate estimate: take the
-    // exact full pass, so pruning can never invalidate an answer.
-    prune_fallback_full().increment();
-  }
-  return best_of_all(q);
+  if (q.empty() || compiled_->empty()) return {};
+  return sweep_exact_ ? sweep(q) : best_of_all(q);
 }
 
 void ProbabilisticLocator::locate_batch_impl(
     std::span<const Observation> obs, concurrency::ThreadPool* pool,
     std::span<LocationEstimate> out) const {
-  // The pruned configuration is a per-observation adaptive path;
-  // the base implementation already parallelizes it correctly.
-  if (pruner_ || compiled_->empty()) {
+  // A sparse map runs one sweep per observation; the base
+  // implementation already parallelizes that correctly. So does a map
+  // the construction guard keeps dense: where two NaNs meet, the quad
+  // kernel need not keep the NaN bits the single-query kernel does.
+  if (batch_sweeps_ || !sweep_exact_ || compiled_->empty()) {
     Locator::locate_batch_impl(obs, pool, out);
     return;
   }
 
   // Empty observations never reach the kernels (locate() refuses them
   // before compiling, and min_common_aps = 0 would otherwise let an
-  // all-zero query "win"); everything else rides the observation-major
-  // kernel in groups of four, remainder on the single-query scan.
+  // all-zero query "win"). Observations the sweep's per-query guard
+  // would reject go to the single-query path for the same NaN reason;
+  // everything else rides the observation-major kernel in groups of
+  // four, remainder on the single-query path too.
   std::vector<std::uint32_t> live;
+  std::vector<std::uint32_t> single;
   live.reserve(obs.size());
   for (std::size_t i = 0; i < obs.size(); ++i) {
-    if (!obs[i].empty()) live.push_back(static_cast<std::uint32_t>(i));
+    if (obs[i].empty()) continue;
+    const bool squares_finite =
+        std::all_of(obs[i].aps().begin(), obs[i].aps().end(),
+                    [](const ObservedAp& ap) {
+                      return std::isfinite(ap.mean_dbm * ap.mean_dbm);
+                    });
+    (squares_finite ? live : single).push_back(static_cast<std::uint32_t>(i));
   }
   const std::size_t quads = live.size() / 4;
+  single.insert(single.end(),
+                live.begin() + static_cast<std::ptrdiff_t>(quads * 4),
+                live.end());
   auto quad_body = [&](std::size_t g) {
     // Per-thread scratch: compile_observation_into reuses the buffer
     // capacity, so steady-state batches never touch the allocator.
@@ -448,10 +491,7 @@ void ProbabilisticLocator::locate_batch_impl(
   } else {
     for (std::size_t g = 0; g < quads; ++g) quad_body(g);
   }
-  for (std::size_t k = quads * 4; k < live.size(); ++k) {
-    out[live[k]] =
-        best_of_all(compiled_->compile_observation(obs[live[k]]));
-  }
+  for (const std::uint32_t i : single) out[i] = locate(obs[i]);
 }
 
 }  // namespace loctk::core

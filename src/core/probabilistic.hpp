@@ -15,20 +15,46 @@
 ///
 /// We evaluate the product in log space (same arg-max, no underflow)
 /// and expose the full per-point scores for the Bayes-grid and
-/// tracking layers. The bulk paths (`score_all`, `locate`,
-/// `score_batch`) run a dense kernel over `CompiledDatabase` matrices;
-/// the per-point `log_likelihood` keeps the string-keyed form as the
-/// readable reference implementation (the equivalence is pinned by
+/// tracking layers. `score_all` and `score_batch` run a dense kernel
+/// over `CompiledDatabase` matrices; `locate` runs an exact sparse
+/// sweep over the cells the observation heard, bit-identical to the
+/// dense arg-max (docs/ALGORITHMS.md, "Sparse exact sweep"), and
+/// `prune_top_k` no longer affects it. The per-point `log_likelihood`
+/// keeps the string-keyed form as the readable reference
+/// implementation (the equivalence is pinned by
 /// tests/core_compiled_db_test.cpp).
 
+#include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
-#include "core/candidate_pruner.hpp"
 #include "core/compiled_db.hpp"
 #include "core/locator.hpp"
 
 namespace loctk::core {
+
+/// Per-cell Gaussian constants of the probabilistic kernel,
+///   log_pdf(x) = log_norm - (x - mean)² · inv_two_var,
+/// in the two layouts the scorers read. Built once per locator and
+/// shared by its copies.
+struct GaussianTables {
+  /// Dense: row-major points x row_stride(), with exact zeros at
+  /// untrained slots and in the stride pad (score_all, score_batch,
+  /// the batched quad kernel, and the guarded dense locate).
+  simd::AlignedDoubles log_norm;
+  simd::AlignedDoubles inv_two_var;
+  /// Sparse: slot-major CSR postings of the trained cells. The rows
+  /// trained at slot s, ascending, and their mean and constants live
+  /// at [offsets[s], offsets[s + 1]) — 28 bytes per trained cell.
+  struct Postings {
+    std::vector<std::uint32_t> offsets;
+    std::vector<std::uint32_t> row;
+    std::vector<double> mean;
+    std::vector<double> log_norm;
+    std::vector<double> inv_two_var;
+  } postings;
+};
 
 /// Tuning knobs for the likelihood.
 struct ProbabilisticConfig {
@@ -50,15 +76,12 @@ struct ProbabilisticConfig {
   /// cell happened to survey calm (a known fingerprinting pathology).
   /// Pooling removes that term from the decision.
   bool use_pooled_sigma = false;
-  /// Coarse-to-fine pruning: when > 0, locate() scores only the
-  /// `prune_top_k` candidate rows a strongest-AP prefilter selects
-  /// (each scored with the exact kernel), falling back to the full
-  /// pass whenever the prefilter is degenerate or the pruned pass
-  /// yields no valid estimate. 0 keeps the exhaustive sweep.
-  /// score_all/score_batch always score everything — pruning is a
-  /// serve-path (locate) optimization.
+  /// Retired: no longer changes ProbabilisticLocator in any way.
+  /// locate() always runs the exact sparse sweep, which is at least as
+  /// fast as the old coarse-to-fine pruned path on every workload and
+  /// never prunes. Kept only because benchmark code still sets it.
   int prune_top_k = 0;
-  /// How many of the observation's loudest APs seed the prefilter.
+  /// Retired with `prune_top_k`; no effect.
   int prune_strongest_aps = 4;
 };
 
@@ -116,35 +139,36 @@ class ProbabilisticLocator : public CompiledLocator {
   LocationEstimate locate_compiled(
       const CompiledObservation& q) const override;
 
-  /// Batched locate on the observation-major kernel: four observations
-  /// occupy the vector lanes and ride one pass over the training rows,
-  /// with each row's table values broadcast once and the entire
-  /// epilogue (penalties, clamp, arg-max) kept in lanes — no
-  /// horizontal reductions anywhere on the hot path. Results are
-  /// bit-identical to locate() per element (the kernel reproduces the
-  /// slot-major kernel's per-lane partial sums and hsum tree); pruned
-  /// configurations route through the per-observation coarse-to-fine
-  /// path instead.
+  /// Batched locate, bit-identical to locate() per element either
+  /// way. The path follows the compiled database's fill: a sparse map
+  /// (fewer than a quarter of its padded cells trained) runs the
+  /// per-observation sparse sweep; a dense one runs the
+  /// observation-major quad kernel, where four observations occupy
+  /// the vector lanes and ride one pass over the training rows with
+  /// the whole epilogue (penalties, clamp, arg-max) kept in lanes.
+  /// Inputs either guard sends to the dense sweep stay per
+  /// observation on both sides.
   void locate_batch_impl(std::span<const Observation> obs,
                          concurrency::ThreadPool* pool,
                          std::span<LocationEstimate> out) const override;
 
  private:
   void build_kernel_tables();
+  /// Row `point`'s stored score from its Gaussian partial sum and
+  /// common-AP count: the missing-AP penalties, then the
+  /// min_common_aps clamp. Every scoring path ends here.
+  ScoredPoint finish_row(std::size_t point, double gauss, int common,
+                         const CompiledObservation& q) const;
   /// Dense likelihood of a compiled observation at one row (SIMD
-  /// kernel over the padded SoA rows).
-  double score_point(std::size_t point, const CompiledObservation& q,
-                     int* common_aps) const;
-  /// score_point + the min_common_aps clamp, as stored in results.
+  /// kernel over the padded SoA rows), finished by finish_row.
   ScoredPoint scored_point(std::size_t point,
                            const CompiledObservation& q) const;
-  /// Best estimate among `rows` (exact scores); invalid when every
-  /// row is skipped.
-  LocationEstimate best_of_rows(std::span<const std::uint32_t> rows,
-                                const CompiledObservation& q) const;
-  /// best_of_rows over the full database without materializing a row
-  /// list (the exhaustive path locate() and the pruner fallback take).
+  /// Arg-max of scored_point over every row: the dense reference the
+  /// sparse sweep reproduces, and the path its guards fall back to.
   LocationEstimate best_of_all(const CompiledObservation& q) const;
+  /// The exact sparse sweep: walks only the postings of `q.slots`,
+  /// then the same epilogue and arg-max as best_of_all.
+  LocationEstimate sweep(const CompiledObservation& q) const;
   /// Four compiled observations through one pass over every training
   /// row via the observation-major kernel (lanes = observations);
   /// writes exactly what locate() would.
@@ -152,14 +176,18 @@ class ProbabilisticLocator : public CompiledLocator {
                    LocationEstimate* out) const;
 
   ProbabilisticConfig config_;
-  /// Built when config_.prune_top_k > 0 (shared so the locator stays
-  /// copyable).
-  std::shared_ptr<const CandidatePruner> pruner_;
   /// Aligned with database().bssid_universe().
   std::vector<double> pooled_sigma_;
-  /// The per-cell Gaussian constants (see GaussianTables), shared with
-  /// the pruner's ML coarse mode so copies of either stay valid.
+  /// The per-cell Gaussian constants (see GaussianTables), shared so
+  /// copies of the locator stay cheap.
   std::shared_ptr<const GaussianTables> tables_;
+  /// Construction guard: false when some trained cell's unheard term
+  /// is non-finite, so skipping it would not add ±0 (locate() then
+  /// always runs best_of_all).
+  bool sweep_exact_ = true;
+  /// Batch path from the data: true when the map is sparse enough
+  /// that per-observation sweeps beat the quad kernel.
+  bool batch_sweeps_ = false;
 };
 
 }  // namespace loctk::core

@@ -33,9 +33,12 @@ class Rng {
     return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
   }
 
-  /// Normal draw.
+  /// Normal draw. Scales a standard draw instead of parameterizing
+  /// the distribution, so sigma = 0 is legal (it returns `mean`);
+  /// libstdc++ computes `z * stddev + mean` from the same engine
+  /// draws, so every stream with sigma > 0 is unchanged bit for bit.
   double normal(double mean = 0.0, double sigma = 1.0) {
-    return std::normal_distribution<double>(mean, sigma)(engine_);
+    return mean + sigma * std::normal_distribution<double>(0.0, 1.0)(engine_);
   }
 
   /// Bernoulli draw with probability p of true.

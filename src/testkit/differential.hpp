@@ -27,7 +27,8 @@
 /// same way: a pruned locator vs its exact twin over the same
 /// observations, reporting top-1 agreement (candidates are scored
 /// with the exact kernel, so any disagreement means the true winner
-/// was pruned out).
+/// was pruned out). Only k-NN prunes; the probabilistic pair checks
+/// that the retired pruning knobs leave its sparse sweep untouched.
 
 #include <cstdint>
 #include <span>
@@ -102,10 +103,10 @@ struct PrunedDifferentialReport {
 };
 
 /// Runs the probabilistic and k-NN locators twice over `observations`
-/// — once with `prune_config`'s pruning enabled, once with the exact
-/// full sweep — and diffs the top-1 estimates. `prune_config` must
-/// have prune_top_k > 0; the exact twin is the same config with
-/// pruning zeroed.
+/// — once with `prune_config`'s pruning knobs set, once with them
+/// zeroed — and diffs the top-1 estimates. `prune_config` must have
+/// prune_top_k > 0; k-NN takes its top-k and strongest-AP count from
+/// it, and the probabilistic locator must ignore them.
 PrunedDifferentialReport run_pruned_differential(
     const traindb::TrainingDatabase& db,
     std::span<const core::Observation> observations,

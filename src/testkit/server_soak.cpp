@@ -54,11 +54,8 @@ std::string format_violation(const char* what, std::uint64_t expected,
 /// independent of swap timing.
 std::shared_ptr<const core::Locator> make_site_locator(
     const Scenario& scenario) {
-  core::ProbabilisticConfig config;
-  config.prune_top_k = 32;
-  config.prune_strongest_aps = 4;
   return std::make_shared<const core::ProbabilisticLocator>(
-      core::CompiledDatabase::compile(scenario.database()), config);
+      core::CompiledDatabase::compile(scenario.database()));
 }
 
 /// The fleet soak's standing fault schedule, per site.

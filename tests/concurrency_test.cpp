@@ -6,6 +6,7 @@
 #include "concurrency/thread_pool.hpp"
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <future>
 #include <numeric>
@@ -163,6 +164,14 @@ TEST(ThreadPool, PostedThrowingTaskDoesNotKillThePool) {
   // ...and submit()ed (the future also proves the workers are alive).
   EXPECT_EQ(pool.submit([] { return 41 + 1; }).get(), 42);
   while (ran.load() < 8) {
+    std::this_thread::yield();
+  }
+  // The worker that caught the throw may not have counted it yet:
+  // wait (bounded) for the count, then pin it to exactly one.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (pool.uncaught_task_errors() < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
     std::this_thread::yield();
   }
   EXPECT_EQ(pool.uncaught_task_errors(), 1u);

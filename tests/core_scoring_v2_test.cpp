@@ -9,8 +9,9 @@
 //    own matrix leg and trust it never rots.
 // 2. The coarse-to-fine candidate pruner: top-k bounds, deterministic
 //    ascending output, the degenerate-query fallback contract, pruned
-//    locate() agreeing with the exact pass, and the effectiveness
-//    metrics exported through the registry.
+//    k-NN locate() agreeing with the exact pass, the effectiveness
+//    metrics exported through the registry, and the probabilistic
+//    locator ignoring the retired pruning knobs.
 
 #include <algorithm>
 #include <bit>
@@ -395,9 +396,7 @@ TEST(CandidatePruner, ExportsEffectivenessMetrics) {
   const auto s0 = scored.value();
   const auto f0 = fallback.value();
 
-  ProbabilisticConfig cfg;
-  cfg.prune_top_k = 16;
-  const ProbabilisticLocator locator(compiled, cfg);
+  const KnnLocator locator(compiled, {.k = 3, .prune_top_k = 16});
   EXPECT_EQ(metrics::gauge("score.prune.database_points").value(),
             static_cast<double>(compiled->point_count()));
 
@@ -546,11 +545,11 @@ TEST(CandidatePruner, CoarseRankChargesMissingSlotsAtScale) {
 // exact AP, five cheap penalties) beats a densely trained row that
 // misfits every observed AP by 15 dB. The gap-metric union never even
 // visits that row — it is not posted under the strongest observed AP —
-// which is exactly how the pruned path lost top-1 parity on generated
-// campuses. The probabilistic locator's pruner now ranks with the
-// locator's own restricted score (ML coarse mode) and must recover
-// the sparse winner bit for bit.
-TEST(CandidatePruner, MlModeRecallsSparseWinnerTheGapMetricPrunes) {
+// which is exactly how a pruned probabilistic path lost top-1 parity
+// on generated campuses. The probabilistic locator no longer prunes:
+// even with the retired knobs at their tightest it returns the exact
+// sparse winner bit for bit.
+TEST(CandidatePruner, SweepKeepsSparseWinnerTheGapMetricPrunes) {
   auto trained = [](int ap, double mean) {
     traindb::ApStatistics s;
     s.bssid = radio::synthetic_bssid(ap);
@@ -595,7 +594,7 @@ TEST(CandidatePruner, MlModeRecallsSparseWinnerTheGapMetricPrunes) {
   ASSERT_EQ(gap_candidates.size(), 1u);
   EXPECT_NE(gap_candidates.front(), 2u);
 
-  // The pruned locator (ML coarse mode) must not.
+  // The probabilistic locator, knobs set or not, must not.
   ProbabilisticConfig pruned_cfg;
   pruned_cfg.prune_top_k = 1;
   pruned_cfg.prune_strongest_aps = 1;
@@ -603,7 +602,7 @@ TEST(CandidatePruner, MlModeRecallsSparseWinnerTheGapMetricPrunes) {
   const LocationEstimate p = pruned.locate(obs);
   ASSERT_TRUE(p.valid);
   EXPECT_EQ(p.location_name, e.location_name);
-  EXPECT_EQ(p.score, e.score);
+  EXPECT_TRUE(bits_equal(p.score, e.score));
 }
 
 }  // namespace

@@ -20,7 +20,10 @@ namespace fs = std::filesystem;
 class CollectionTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "loctk_collection";
+    // Unique per test: ctest may run the cases concurrently.
+    dir_ = fs::temp_directory_path() /
+           (std::string("loctk_collection_") +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::remove_all(dir_);
     fs::create_directories(dir_ / "floor1");
   }
