@@ -4,22 +4,27 @@
 // perf_score_kernel uses. The interesting deltas live here, not
 // there: a window hears under a tenth of the universe, so the sparse
 // sweep skips most cells and batches take it instead of the quad
-// kernel; floor selection folds six per-floor locators per fix, and
+// kernel; floor selection folds six per-floor locators per fix,
 // compiling a 1000-slot universe is the unit of work every snapshot
-// swap pays.
+// swap pays, and a served session merges each ~67-sample scan into a
+// ~500-reading window.
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_metrics.hpp"
 #include "core/compiled_db.hpp"
 #include "core/floor_selector.hpp"
+#include "core/location_service.hpp"
 #include "core/observation.hpp"
 #include "core/probabilistic.hpp"
 #include "radio/campus.hpp"
 #include "radio/scanner.hpp"
+#include "stats/rng.hpp"
 #include "testkit/scenario.hpp"
 
 using namespace loctk;
@@ -40,12 +45,31 @@ struct CampusCorpus {
       batch.push_back(core::Observation::from_scans(
           scanner.collect(rooms[(i * 7) % rooms.size()], 8)));
     }
+    // Device 0's recorded walk, as the NIC reported it (sorted by
+    // BSSID) and with every scan's samples shuffled.
+    const testkit::ScanTrace trace = scenario.record_trace();
+    const auto by_device = trace.scans_by_device();
+    for (const std::size_t i : by_device.front()) {
+      walk.push_back(trace.scans[i].scan);
+    }
+    shuffled_walk = walk;
+    stats::Rng rng(56);
+    for (radio::ScanRecord& scan : shuffled_walk) {
+      for (std::size_t k = scan.samples.size(); k > 1; --k) {
+        const auto pick = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(k) - 1));
+        std::swap(scan.samples[k - 1], scan.samples[pick]);
+      }
+    }
   }
 
   static testkit::ScenarioSpec make_spec() {
     testkit::ScenarioSpec spec =
         testkit::ScenarioSpec::campus_fleet(4, 2, /*seed=*/55);
     spec.train_scans = 6;
+    // Only the recorded trace reads the device specs: a longer walk
+    // for device 0 leaves the survey and database unchanged.
+    spec.devices.front().scans = 64;
     return spec;
   }
 
@@ -53,6 +77,8 @@ struct CampusCorpus {
   std::vector<const traindb::TrainingDatabase*> floors;
   core::Observation observation;
   std::vector<core::Observation> batch;
+  std::vector<radio::ScanRecord> walk;
+  std::vector<radio::ScanRecord> shuffled_walk;
 };
 
 const CampusCorpus& campus() {
@@ -110,6 +136,37 @@ void BM_CampusCompileDatabase(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CampusCompileDatabase)->Unit(benchmark::kMillisecond);
+
+// One served scan end to end, minus the server's routing: an unbound
+// session with a full window replays device 0's walk through the served
+// ProbabilisticLocator — the door, the BSSID lookups of the new scan,
+// the merge into the window's sorted run, the sparse locate and the
+// Kalman step. /shuffled:0 keeps the trace's BSSID order (every
+// scanbench workload delivers scans sorted), so the merge skips its
+// per-scan sort; /shuffled:1 pays it.
+void BM_CampusOnScan(benchmark::State& state) {
+  const CampusCorpus& c = campus();
+  const std::vector<radio::ScanRecord>& walk =
+      state.range(0) == 0 ? c.walk : c.shuffled_walk;
+  const core::ProbabilisticLocator locator(c.scenario.database());
+  core::LocationService session{core::LocationServiceConfig{}};
+  std::size_t i = 0;
+  for (; i < session.config().window_scans; ++i) {
+    session.on_scan(locator, walk[i % walk.size()]);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(session.on_scan(locator, walk[i % walk.size()]));
+    ++i;
+  }
+  state.SetItemsProcessed(state.iterations());
+  std::size_t samples = 0;
+  for (const radio::ScanRecord& scan : walk) samples += scan.samples.size();
+  state.counters["samples_per_scan"] =
+      static_cast<double>(samples) / static_cast<double>(walk.size());
+}
+BENCHMARK(BM_CampusOnScan)
+    ->ArgName("shuffled")->Arg(0)->Arg(1)
+    ->UseRealTime()->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <unordered_map>
 
@@ -10,8 +12,47 @@
 
 namespace loctk::core {
 
+namespace {
+
+std::uint64_t load_word(const char* p) {
+  std::uint64_t word;
+  std::memcpy(&word, p, sizeof word);
+  return word;
+}
+
+/// Hash of a BSSID for the slot index: one multiply per 8-byte word —
+/// the last word overlaps its predecessor, so a 17-character MAC takes
+/// three fixed-size loads — then the MurmurHash3 finalizer, so every
+/// input bit reaches both the low (cell) and the high (tag) half.
+std::uint64_t bssid_hash(std::string_view key) {
+  constexpr std::uint64_t kMul = 0xBF58476D1CE4E5B9ULL;
+  const char* p = key.data();
+  const std::size_t n = key.size();
+  std::uint64_t h = 0x9E3779B97F4A7C15ULL ^ n;
+  if (n >= 8) {
+    for (std::size_t i = 0; i + 8 < n; i += 8) {
+      h = (h ^ load_word(p + i)) * kMul;
+    }
+    h = (h ^ load_word(p + n - 8)) * kMul;
+  } else {
+    std::uint64_t word = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      word |= std::uint64_t{static_cast<unsigned char>(p[i])} << (8 * i);
+    }
+    h = (h ^ word) * kMul;
+  }
+  h ^= h >> 33;
+  h *= 0xFF51AFD7ED558CCDULL;
+  h ^= h >> 33;
+  h *= 0xC4CEB9FE1A85EC53ULL;
+  h ^= h >> 33;
+  return h;
+}
+
+}  // namespace
+
 std::uint64_t CompiledDatabase::next_id() {
-  // Starts at 1 so 0 can mean "never lowered" to a cache keyed on ids.
+  // Starts at 1 so 0 can mean "stale" to a run tagged with ids.
   static std::atomic<std::uint64_t> next{1};
   return next.fetch_add(1, std::memory_order_relaxed);
 }
@@ -32,9 +73,20 @@ CompiledDatabase::CompiledDatabase(traindb::TrainingDatabase&& db)
 
 void CompiledDatabase::build_slot_index() {
   const auto& universe = db_->bssid_universe();
-  slot_index_.reserve(universe.size());
+  key_ends_.reserve(universe.size());
+  for (const std::string& bssid : universe) {
+    keys_ += bssid;
+    key_ends_.push_back(static_cast<std::uint32_t>(keys_.size()));
+  }
+  index_.assign(std::bit_ceil(std::max<std::size_t>(2, 2 * universe.size())),
+                IndexCell{});
+  const std::size_t mask = index_.size() - 1;
   for (std::size_t j = 0; j < universe.size(); ++j) {
-    slot_index_.emplace(universe[j], static_cast<std::uint32_t>(j));
+    const std::uint64_t h = bssid_hash(universe[j]);
+    std::size_t cell = h & mask;
+    while (index_[cell].slot != kNoSlot) cell = (cell + 1) & mask;
+    index_[cell] = {static_cast<std::uint32_t>(h >> 32),
+                    static_cast<std::uint32_t>(j)};
   }
 }
 
@@ -182,9 +234,18 @@ std::shared_ptr<const CompiledDatabase> CompiledDatabase::delta_compile(
 
 std::optional<std::uint32_t> CompiledDatabase::slot_of(
     std::string_view bssid) const {
-  const auto it = slot_index_.find(bssid);
-  if (it == slot_index_.end()) return std::nullopt;
-  return it->second;
+  const std::uint64_t h = bssid_hash(bssid);
+  const auto tag = static_cast<std::uint32_t>(h >> 32);
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t cell = h & mask;; cell = (cell + 1) & mask) {
+    const IndexCell c = index_[cell];
+    if (c.slot == kNoSlot) return std::nullopt;
+    if (c.tag != tag) continue;
+    const std::uint32_t begin = c.slot == 0 ? 0 : key_ends_[c.slot - 1];
+    const std::string_view key(keys_.data() + begin,
+                               key_ends_[c.slot] - begin);
+    if (key == bssid) return c.slot;
+  }
 }
 
 CompiledObservation CompiledDatabase::compile_observation(

@@ -24,7 +24,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "base/simd.hpp"
@@ -138,8 +137,8 @@ class CompiledDatabase {
 
   /// Process-unique tag of this compilation, drawn from a counter at
   /// construction (delta_compile results included) and never reused,
-  /// not even after this object is freed. Sessions tag their cached
-  /// BSSID → slot lowerings with it (location_service.hpp).
+  /// not even after this object is freed. Sessions tag their sorted
+  /// run of lowered window readings with it (location_service.hpp).
   std::uint64_t id() const { return id_; }
 
   const traindb::TrainingDatabase& database() const { return *db_; }
@@ -154,7 +153,8 @@ class CompiledDatabase {
   bool empty() const { return points_ == 0; }
 
   /// Universe slot of `bssid` (the interned id); nullopt when unknown.
-  /// One hash probe.
+  /// One probe of a flat open-addressed table: a 32-bit hash tag per
+  /// cell screens out mismatches before any string compare.
   std::optional<std::uint32_t> slot_of(std::string_view bssid) const;
 
   /// Lowers an observation onto this universe in one sorted merge.
@@ -217,8 +217,6 @@ class CompiledDatabase {
   /// Set only by the owning constructor; db_ then points into it.
   std::shared_ptr<const traindb::TrainingDatabase> owned_;
   const traindb::TrainingDatabase* db_;  // non-owning
-  /// BSSID → slot; keys view the universe strings inside *db_.
-  std::unordered_map<std::string_view, std::uint32_t> slot_index_;
   std::size_t points_ = 0;
   std::size_t universe_ = 0;
   /// Padded row stride (simd::padded_stride(universe_)).
@@ -228,6 +226,21 @@ class CompiledDatabase {
   simd::AlignedDoubles mask_;
   simd::AlignedDoubles weight_;
   std::vector<int> trained_count_;
+  /// One cell of the BSSID → slot index: the high half of the key's
+  /// hash and its slot; slot kNoSlot marks an empty cell.
+  struct IndexCell {
+    std::uint32_t tag = 0;
+    std::uint32_t slot = kNoSlot;
+  };
+  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+
+  /// The universe BSSIDs back to back; slot j's key is
+  /// [key_ends_[j - 1], key_ends_[j]) (from 0 for slot 0).
+  std::string keys_;
+  std::vector<std::uint32_t> key_ends_;
+  /// Linear-probing table, a power of two at least twice the universe,
+  /// so a probe ends at an empty cell; indexed by the hash's low bits.
+  std::vector<IndexCell> index_;
 };
 
 /// Direct ingest-to-serve build: aggregates a wi-scan collection into

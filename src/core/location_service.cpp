@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 #include <tuple>
+#include <utility>
 
 #include "base/metrics.hpp"
 
@@ -12,29 +13,8 @@ namespace loctk::core {
 
 namespace {
 
-/// WindowScan::slots entry for a BSSID the universe does not hold.
-constexpr std::uint32_t kOutsideUniverse =
-    std::numeric_limits<std::uint32_t>::max();
-
-/// Per-thread fold state, reused across scans and sessions so a fold
-/// allocates nothing once warm. Between folds `query`'s dense vectors
-/// are zero outside `query.slots` and `cursor` is all zero; `clean` is
-/// false only while a fold is in flight, so a fold that unwound is
-/// repaired by the next one instead of leaking stale cells.
-struct FoldScratch {
-  CompiledObservation query;
-  /// Per universe slot: reading count, then run cursor, during a fold.
-  std::vector<std::uint32_t> cursor;
-  /// Readings of BSSIDs outside the universe: (BSSID, window order,
-  /// dBm).
-  std::vector<std::tuple<std::string_view, std::uint32_t, double>> unknown;
-  bool clean = true;
-};
-
-FoldScratch& fold_scratch() {
-  thread_local FoldScratch scratch;
-  return scratch;
-}
+/// Reading::slot beyond every universe: "no slot yet" in the merge.
+constexpr std::uint32_t kNoSlot = std::numeric_limits<std::uint32_t>::max();
 
 metrics::Counter& scans_counter() {
   static metrics::Counter& c = metrics::counter("service.scans");
@@ -110,6 +90,9 @@ Result<LocationEstimate> LocationService::try_locate(
 void LocationService::reset() {
   window_.clear();
   oldest_ = 0;
+  run_.clear();
+  unknown_.clear();
+  run_for_ = 0;
   kalman_.reset();
   fix_ = {};
   candidate_place_.clear();
@@ -126,14 +109,25 @@ std::string_view LocationService::WindowScan::bssid(std::size_t k) const {
   return std::string_view(bssids).substr(begin, bssid_ends[k] - begin);
 }
 
-void LocationService::WindowScan::lower(const CompiledDatabase& db) {
-  if (lowered_for == db.id()) return;
-  slots.resize(size());
-  for (std::size_t k = 0; k < size(); ++k) {
-    slots[k] = db.slot_of(bssid(k)).value_or(kOutsideUniverse);
-  }
-  lowered_for = db.id();
-}
+/// Per-thread fold state, reused across scans and sessions so a fold
+/// allocates nothing once warm. Between folds `query`'s dense vectors
+/// are zero outside `query.slots`; `clean` is false only while a fold
+/// is in flight, so a fold that unwound is repaired by the next one
+/// instead of leaking stale cells.
+struct LocationService::FoldScratch {
+  CompiledObservation query;
+  /// The merge's output, copied back into the session's run_ once the
+  /// pass ends: each session's run then holds only the capacity its
+  /// own window needs.
+  std::vector<Reading> merged;
+  /// The merging scan's in-universe readings as slot << 32 | sample
+  /// index: sorted, that is slot order and sample order within a slot.
+  std::vector<std::uint64_t> fresh;
+  /// Readings of BSSIDs outside the universe: (BSSID, window order,
+  /// dBm).
+  std::vector<std::tuple<std::string_view, std::uint32_t, double>> unknown;
+  bool clean = true;
+};
 
 void LocationService::push_scan(const radio::ScanRecord& scan) {
   WindowScan* entry;
@@ -146,7 +140,6 @@ void LocationService::push_scan(const radio::ScanRecord& scan) {
   entry->bssids.clear();
   entry->bssid_ends.clear();
   entry->rssi_dbm.clear();
-  entry->lowered_for = 0;
   // A NIC driver glitch or hostile replay can hand us inf/nan dBm;
   // once inside the window it would poison every mean the locator
   // sees until the window drains. Drop such samples at the door.
@@ -166,9 +159,92 @@ void LocationService::push_scan(const radio::ScanRecord& scan) {
   }
 }
 
+void LocationService::merge_entry(const CompiledDatabase& db,
+                                  std::size_t entry, FoldScratch& f,
+                                  CompiledObservation* q) {
+  const WindowScan& scan = window_[entry];
+  const auto e = static_cast<std::uint32_t>(entry);
+
+  // Look up only this entry's samples. It is the newest entry merged
+  // so far, so its readings outside the universe go behind the others
+  // once its previous ones have left.
+  std::erase_if(unknown_, [e](const auto& u) { return u.first == e; });
+  f.fresh.clear();
+  for (std::size_t k = 0; k < scan.size(); ++k) {
+    if (const auto slot = db.slot_of(scan.bssid(k))) {
+      f.fresh.push_back(std::uint64_t{*slot} << 32 | k);
+    } else {
+      unknown_.emplace_back(e, static_cast<std::uint32_t>(k));
+    }
+  }
+  // Scans sorted by BSSID come out sorted by slot, since the universe
+  // is sorted too; only other scans pay the sort.
+  if (!std::is_sorted(f.fresh.begin(), f.fresh.end())) {
+    std::sort(f.fresh.begin(), f.fresh.end());
+  }
+
+  f.merged.resize(run_.size() + f.fresh.size());
+  Reading* out = f.merged.data();
+  const Reading* a = run_.data();
+  const Reading* const a_end = a + run_.size();
+  const std::uint64_t* b = f.fresh.data();
+  const std::uint64_t* const b_end = b + f.fresh.size();
+  double* samples = nullptr;
+  if (q != nullptr) {
+    q->samples.resize(f.merged.size());
+    samples = q->samples.data();
+  }
+  // One pass over the run: drop the entry's previous readings, merge
+  // the new ones in behind the older readings of their slot, and, for
+  // a query, sum each slot's readings from 0.0 oldest first and divide
+  // by their count — exactly as from_scans computes a mean, so every
+  // mean, and hence every fix, is bit-identical to the Observation
+  // path.
+  std::uint32_t n = 0;      // readings emitted
+  std::uint32_t begin = 0;  // where the current slot's readings start
+  std::uint32_t current = kNoSlot;
+  double sum = 0.0;
+  const auto close_slot = [&] {
+    const double mean = sum / static_cast<double>(n - begin);
+    q->slots.push_back(current);
+    q->sample_ends.push_back(n);
+    q->mean_dbm[current] = mean;
+    q->present[current] = 1.0;
+    if (!std::isfinite(mean)) q->finite = false;
+    begin = n;
+  };
+  for (;;) {
+    Reading r;
+    if (a != a_end && (b == b_end || a->slot <= (*b >> 32))) {
+      r = *a++;
+      if (r.entry == e) continue;
+    } else if (b != b_end) {
+      r = {static_cast<std::uint32_t>(*b >> 32), e,
+           scan.rssi_dbm[*b & 0xFFFFFFFFu]};
+      ++b;
+    } else {
+      break;
+    }
+    *out++ = r;
+    if (q == nullptr) continue;
+    if (r.slot != current) {
+      if (current != kNoSlot) close_slot();
+      current = r.slot;
+      sum = 0.0;
+    }
+    sum += r.dbm;
+    samples[n++] = r.dbm;
+  }
+  if (q != nullptr) {
+    if (current != kNoSlot) close_slot();
+    q->samples.resize(n);
+  }
+  run_.assign(f.merged.data(), out);
+}
+
 const CompiledObservation& LocationService::fold_window(
-    const CompiledDatabase& db) {
-  FoldScratch& f = fold_scratch();
+    const CompiledDatabase& db, std::uint64_t run_for) {
+  thread_local FoldScratch f;
   CompiledObservation& q = f.query;
   const std::size_t stride = db.row_stride();
   if (f.clean && q.mean_dbm.size() == stride) {
@@ -180,74 +256,32 @@ const CompiledObservation& LocationService::fold_window(
     q.mean_dbm.assign(stride, 0.0);
     q.present.assign(stride, 0.0);
   }
-  if (!f.clean) std::fill(f.cursor.begin(), f.cursor.end(), 0u);
-  if (f.cursor.size() < db.universe_size()) {
-    f.cursor.resize(db.universe_size(), 0u);
-  }
   f.clean = false;
   q.slots.clear();
   q.sample_ends.clear();
-  f.unknown.clear();
-
-  // Pass 1: lower scans the window has not yet seen against `db` (new
-  // scans, or every scan once after a swap), count each slot's
-  // readings, and set aside readings outside the universe.
-  std::uint32_t order = 0;
-  for (std::size_t i = 0; i < window_.size(); ++i) {
-    WindowScan& scan = window_[ring_index(i)];
-    scan.lower(db);
-    for (std::size_t k = 0; k < scan.size(); ++k, ++order) {
-      const std::uint32_t slot = scan.slots[k];
-      if (slot == kOutsideUniverse) {
-        f.unknown.emplace_back(scan.bssid(k), order, scan.rssi_dbm[k]);
-      } else if (f.cursor[slot]++ == 0) {
-        q.slots.push_back(slot);
-      }
-    }
-  }
-  std::sort(q.slots.begin(), q.slots.end());
-  std::uint32_t total = 0;
-  for (const std::uint32_t slot : q.slots) {
-    const std::uint32_t n = f.cursor[slot];
-    f.cursor[slot] = total;  // now the start of the slot's run
-    total += n;
-    q.sample_ends.push_back(total);
-  }
-
-  // Pass 2: scatter the readings into their slot runs, oldest scan
-  // first and in sample order within a scan — the order from_scans
-  // appends them in.
-  q.samples.resize(total);
-  for (std::size_t i = 0; i < window_.size(); ++i) {
-    const WindowScan& scan = window_[ring_index(i)];
-    for (std::size_t k = 0; k < scan.size(); ++k) {
-      const std::uint32_t slot = scan.slots[k];
-      if (slot != kOutsideUniverse) {
-        q.samples[f.cursor[slot]++] = scan.rssi_dbm[k];
-      }
-    }
-  }
-
-  // Means: each run summed from 0.0 in that order, then divided by its
-  // count, exactly as from_scans computes them — so every mean, and
-  // hence every fix, is bit-identical to the Observation path.
   q.finite = true;
-  std::uint32_t begin = 0;
-  for (std::size_t i = 0; i < q.slots.size(); ++i) {
-    const std::uint32_t end = q.sample_ends[i];
-    double sum = 0.0;
-    for (std::uint32_t r = begin; r < end; ++r) sum += q.samples[r];
-    const double mean = sum / static_cast<double>(end - begin);
-    const std::uint32_t slot = q.slots[i];
-    q.mean_dbm[slot] = mean;
-    q.present[slot] = 1.0;
-    if (!std::isfinite(mean)) q.finite = false;
-    f.cursor[slot] = 0;
-    begin = end;
+
+  // The run holds every older entry already when it is current for
+  // `db`; otherwise (a swap, reset(), a scan no fold saw) rebuild it
+  // from the ring's raw samples, oldest entry first.
+  const std::size_t newest = window_.size() - 1;
+  if (run_for != db.id()) {
+    run_.clear();
+    unknown_.clear();
+    for (std::size_t i = 0; i < newest; ++i) {
+      merge_entry(db, ring_index(i), f, nullptr);
+    }
   }
+  merge_entry(db, ring_index(newest), f, &q);
 
   // BSSIDs outside the universe: one AP per distinct string, its mean
   // summed in window order, so an overflowing mean is caught here too.
+  f.unknown.clear();
+  for (std::size_t i = 0; i < unknown_.size(); ++i) {
+    const auto [u, k] = unknown_[i];
+    f.unknown.emplace_back(window_[u].bssid(k), static_cast<std::uint32_t>(i),
+                           window_[u].rssi_dbm[k]);
+  }
   std::sort(f.unknown.begin(), f.unknown.end());
   q.outside_universe = 0;
   for (std::size_t a = 0; a < f.unknown.size();) {
@@ -264,6 +298,7 @@ const CompiledObservation& LocationService::fold_window(
   }
   q.total_aps = q.slots.size() + static_cast<std::size_t>(q.outside_universe);
   f.clean = true;
+  run_for_ = db.id();
   return q;
 }
 
@@ -281,9 +316,9 @@ std::vector<radio::ScanRecord> LocationService::window_records() const {
 }
 
 Result<LocationEstimate> LocationService::locate_window(
-    const Locator& locator) {
+    const Locator& locator, std::uint64_t run_for) {
   if (const CompiledDatabase* db = locator.compiled_database()) {
-    return locator.try_locate(fold_window(*db));
+    return locator.try_locate(fold_window(*db, run_for));
   }
   return locator.try_locate(Observation::from_scans(window_records()));
 }
@@ -292,6 +327,8 @@ ServiceFix LocationService::on_scan(const Locator& locator,
                                     const radio::ScanRecord& scan) {
   scans_counter().increment();
   ++scans_seen_;
+  // The run stays stale unless this scan's fold completes.
+  const std::uint64_t run_for = std::exchange(run_for_, 0);
   push_scan(scan);
   fix_.window_fill = window_.size();
   fix_.degraded_reason.clear();
@@ -301,7 +338,7 @@ ServiceFix LocationService::on_scan(const Locator& locator,
     return fix_;
   }
 
-  const Result<LocationEstimate> result = locate_window(locator);
+  const Result<LocationEstimate> result = locate_window(locator, run_for);
   const LocationEstimate est =
       result.ok() ? result.value() : LocationEstimate{};
 

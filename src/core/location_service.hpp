@@ -15,12 +15,14 @@
 /// the incoming call to the recipient's current room).
 ///
 /// The window works in slot space (docs/ALGORITHMS.md, "Scan path in
-/// slot space"): a ring of the last `window_scans` scans, each lowered
-/// once to the universe slots of the locator's compiled database and
-/// folded on every scan straight into a CompiledObservation — the same
-/// per-AP means Observation::from_scans computes, bit for bit, with no
-/// Observation built. Locators without a compiled database get an
-/// Observation built from the same ring.
+/// slot space"): a ring of the last `window_scans` scans keeps the raw
+/// samples, and beside it one run of the window's readings lowered to
+/// the universe slots of the locator's compiled database, sorted by
+/// (slot, age). Each scan looks up only its own samples and merges them
+/// into the run in one pass that also emits the CompiledObservation —
+/// the same per-AP means Observation::from_scans computes, bit for bit,
+/// with no Observation built. Locators without a compiled database get
+/// an Observation built from the ring.
 
 #include <cstdint>
 #include <functional>
@@ -28,6 +30,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/locator.hpp"
@@ -98,7 +101,7 @@ class LocationService {
   /// a window the locator cannot answer coasts on the Kalman track
   /// with `fix.degraded_reason` set. Once the window is full, keeping
   /// it allocates nothing: ring entries are reused and a compiled
-  /// locator's query is folded in per-thread scratch.
+  /// locator's query is merged in per-thread scratch.
   ServiceFix on_scan(const radio::ScanRecord& scan);
 
   /// on_scan against an explicitly supplied locator — the snapshot
@@ -158,35 +161,49 @@ class LocationService {
 
  private:
   /// One scan of the window: its finite samples, stored flat so a ring
-  /// entry reused for a later scan keeps its capacity, plus their
-  /// lowering onto the universe of the compilation `lowered_for`.
+  /// entry reused for a later scan keeps its capacity.
   struct WindowScan {
     /// The samples' BSSIDs back to back; sample k's ends at
     /// bssid_ends[k].
     std::string bssids;
     std::vector<std::size_t> bssid_ends;
     std::vector<double> rssi_dbm;
-    /// Sample k's universe slot, or kOutsideUniverse.
-    std::vector<std::uint32_t> slots;
-    /// CompiledDatabase::id() `slots` was lowered against; 0 = never.
-    std::uint64_t lowered_for = 0;
 
     std::size_t size() const { return rssi_dbm.size(); }
     std::string_view bssid(std::size_t k) const;
-    /// Re-lowers `slots` unless they already belong to `db`.
-    void lower(const CompiledDatabase& db);
   };
+
+  /// One window reading inside the universe: its slot, the ring entry
+  /// of its scan, and its dBm.
+  struct Reading {
+    std::uint32_t slot;
+    std::uint32_t entry;
+    double dbm;
+  };
+
+  /// Per-thread merge buffers and query (defined in the .cpp).
+  struct FoldScratch;
 
   const Locator& bound_locator() const;
   /// Copies the scan's finite samples into the ring, over the oldest
   /// entry once the window is full.
   void push_scan(const radio::ScanRecord& scan);
-  /// Scores the current window: folded in slot space for a compiled
-  /// locator, as an Observation otherwise.
-  Result<LocationEstimate> locate_window(const Locator& locator);
+  /// Scores the current window: merged in slot space for a compiled
+  /// locator, as an Observation otherwise. `run_for` is the id run_
+  /// was current for before the newest scan was pushed (0 when stale).
+  Result<LocationEstimate> locate_window(const Locator& locator,
+                                         std::uint64_t run_for);
   /// The window's per-AP means and readings on `db`'s universe, in
-  /// per-thread scratch (valid until this thread's next fold).
-  const CompiledObservation& fold_window(const CompiledDatabase& db);
+  /// per-thread scratch (valid until this thread's next fold). Merges
+  /// only the newest scan into the run when `run_for` is `db`'s id,
+  /// else rebuilds the run from the ring's raw samples.
+  const CompiledObservation& fold_window(const CompiledDatabase& db,
+                                         std::uint64_t run_for);
+  /// Replaces ring entry `entry`'s readings in run_ and unknown_ with
+  /// its current samples lowered on `db`; with `q`, the same pass
+  /// emits the query's slots, sample runs and means.
+  void merge_entry(const CompiledDatabase& db, std::size_t entry,
+                   FoldScratch& f, CompiledObservation* q);
   /// The window as scan records, oldest first (non-compiled locators).
   std::vector<radio::ScanRecord> window_records() const;
   /// Ring index of the i-th oldest scan.
@@ -204,6 +221,17 @@ class LocationService {
   std::vector<WindowScan> window_;
   /// Ring index of the oldest scan (0 until the ring is full).
   std::size_t oldest_ = 0;
+  /// The window's readings inside the universe of the compilation
+  /// run_for_ names, sorted by slot and, within a slot, oldest first in
+  /// sample order — the order from_scans appends them in.
+  std::vector<Reading> run_;
+  /// The window's readings outside that universe as (ring entry,
+  /// sample index), oldest first.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> unknown_;
+  /// CompiledDatabase::id() run_ and unknown_ hold the whole ring for;
+  /// 0 while they are stale (a swap, reset(), or a scan pushed without
+  /// a completed fold).
+  std::uint64_t run_for_ = 0;
   KalmanTracker kalman_;
   ServiceFix fix_;
   std::string candidate_place_;

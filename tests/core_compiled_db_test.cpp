@@ -9,8 +9,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <limits>
+#include <optional>
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -102,6 +106,188 @@ TEST(CompiledDatabase, InternsUniverseAndRows) {
     }
   }
   EXPECT_FALSE(cdb.slot_of("nope").has_value());
+}
+
+// --- The flat BSSID index behind slot_of ------------------------------
+
+// Oracle: a binary search of the sorted universe. A key has a slot only
+// when the universe holds exactly its bytes, and the slot is its index.
+std::optional<std::uint32_t> universe_slot(
+    const std::vector<std::string>& universe, std::string_view key) {
+  const auto it = std::lower_bound(universe.begin(), universe.end(), key);
+  if (it == universe.end() || *it != key) return std::nullopt;
+  return static_cast<std::uint32_t>(it - universe.begin());
+}
+
+// A 17-character MAC-style BSSID, the campus key shape: longer than
+// libstdc++'s 15-character inline string buffer.
+std::string mac_bssid(std::uint64_t v) {
+  char buf[18];
+  std::snprintf(buf, sizeof buf, "%02x:%02x:%02x:%02x:%02x:%02x",
+                static_cast<unsigned>(v >> 40 & 0xFF),
+                static_cast<unsigned>(v >> 32 & 0xFF),
+                static_cast<unsigned>(v >> 24 & 0xFF),
+                static_cast<unsigned>(v >> 16 & 0xFF),
+                static_cast<unsigned>(v >> 8 & 0xFF),
+                static_cast<unsigned>(v & 0xFF));
+  return buf;
+}
+
+std::vector<std::string> random_macs(stats::Rng& rng, std::size_t n) {
+  std::set<std::string> macs;
+  while (macs.size() < n) {
+    macs.insert(mac_bssid(
+        static_cast<std::uint64_t>(rng.uniform_int(0, (1LL << 48) - 1))));
+  }
+  return {macs.begin(), macs.end()};
+}
+
+// Keys of 1 to 40 characters that are prefixes and suffixes of each
+// other, so near-misses of one key are often other keys.
+std::vector<std::string> nested_keys() {
+  std::vector<std::string> keys;
+  for (int len = 1; len <= 40; ++len) {
+    keys.push_back(std::string("hx:0123456789abcdef-0123456789abcdef-xyz")
+                       .substr(0, static_cast<std::size_t>(len)));
+    keys.push_back(std::string(static_cast<std::size_t>(len), 'z'));
+  }
+  keys.push_back("ap");
+  keys.push_back(std::string("ap\0", 3));
+  return keys;
+}
+
+traindb::TrainingPoint point_hearing(const std::string& location,
+                                     const std::vector<std::string>& bssids) {
+  traindb::TrainingPoint tp;
+  tp.location = location;
+  for (const std::string& bssid : bssids) {
+    traindb::ApStatistics s;
+    s.bssid = bssid;
+    s.mean_dbm = -60.0;
+    s.stddev_db = 2.0;
+    s.sample_count = 10;
+    s.scan_count = 10;
+    tp.per_ap.push_back(std::move(s));
+  }
+  return tp;
+}
+
+traindb::TrainingDatabase database_hearing(
+    const std::vector<std::string>& bssids) {
+  return traindb::TrainingDatabase::from_points(
+      {point_hearing("all", bssids)}, "index");
+}
+
+// Every universe key finds its own slot; `gone` keys find none.
+void expect_index_complete(const CompiledDatabase& cdb,
+                           const std::vector<std::string>& gone = {}) {
+  const std::vector<std::string>& universe = cdb.database().bssid_universe();
+  ASSERT_EQ(cdb.universe_size(), universe.size());
+  for (std::size_t j = 0; j < universe.size(); ++j) {
+    const auto slot = cdb.slot_of(universe[j]);
+    ASSERT_TRUE(slot.has_value()) << universe[j];
+    EXPECT_EQ(*slot, j) << universe[j];
+  }
+  for (const std::string& key : gone) {
+    EXPECT_FALSE(cdb.slot_of(key).has_value()) << key;
+  }
+}
+
+TEST(CompiledDatabaseIndex, EveryUniverseBssidFindsItsSlot) {
+  stats::Rng rng(7300);
+  for (const std::size_t n : {1u, 2u, 3u, 8u, 64u, 1020u, 4096u}) {
+    const auto db = database_hearing(random_macs(rng, n));
+    const CompiledDatabase cdb(db);
+    EXPECT_EQ(cdb.universe_size(), n);
+    expect_index_complete(cdb);
+  }
+  const auto nested = database_hearing(nested_keys());
+  expect_index_complete(CompiledDatabase(nested));
+}
+
+TEST(CompiledDatabaseIndex, NearMissesOfUniverseBssidsMiss) {
+  stats::Rng rng(7301);
+  const auto db = database_hearing(random_macs(rng, 1020));
+  const CompiledDatabase cdb(db);
+  const std::string long_key(1000, 'a');
+  EXPECT_FALSE(cdb.slot_of("").has_value());
+  EXPECT_FALSE(cdb.slot_of(long_key).has_value());
+  for (const std::string& key : db.bssid_universe()) {
+    std::string with_nul = key;
+    with_nul.insert(with_nul.begin() + 8, '\0');
+    std::string nul_for_char = key;
+    nul_for_char[16] = '\0';
+    for (const std::string& miss :
+         {key.substr(0, 16), key.substr(0, 8), key.substr(1), key.substr(9),
+          key + std::string(1, '\0'), with_nul, nul_for_char,
+          key + key.substr(0, 1), key + long_key}) {
+      EXPECT_FALSE(cdb.slot_of(miss).has_value()) << key;
+    }
+  }
+
+  // Keys nested in each other: each near-miss finds exactly what the
+  // sorted universe holds.
+  const auto nested = database_hearing(nested_keys());
+  const CompiledDatabase ncdb(nested);
+  const std::vector<std::string>& universe = nested.bssid_universe();
+  for (const std::string& key : universe) {
+    for (std::size_t cut = 0; cut <= key.size(); ++cut) {
+      for (const std::string& probe :
+           {key.substr(0, cut), key.substr(cut), key + std::string(1, '\0'),
+            std::string(1, '\0') + key}) {
+        EXPECT_EQ(ncdb.slot_of(probe), universe_slot(universe, probe))
+            << "probe of length " << probe.size();
+      }
+    }
+  }
+  EXPECT_FALSE(ncdb.slot_of(long_key).has_value());
+}
+
+TEST(CompiledDatabaseIndex, EmptyUniverseFindsNothing) {
+  const traindb::TrainingDatabase empty;
+  const CompiledDatabase cdb(empty);
+  ASSERT_EQ(cdb.universe_size(), 0u);
+  EXPECT_FALSE(cdb.slot_of("").has_value());
+  EXPECT_FALSE(cdb.slot_of("aa:bb:cc:dd:ee:ff").has_value());
+  EXPECT_FALSE(cdb.slot_of(std::string(1000, 'a')).has_value());
+  EXPECT_FALSE(cdb.slot_of(std::string(1, '\0')).has_value());
+}
+
+TEST(CompiledDatabaseIndex, DeltaCompileResultsIndexEverySlot) {
+  stats::Rng rng(7302);
+  const std::vector<std::string> macs = random_macs(rng, 900);
+  const auto slice = [&macs](std::ptrdiff_t begin, std::ptrdiff_t end) {
+    return std::vector<std::string>(macs.begin() + begin, macs.begin() + end);
+  };
+  // "solo" alone trains macs[300, 400); "a" and "b" share the rest.
+  auto base = CompiledDatabase::compile_owned(traindb::TrainingDatabase::
+      from_points({point_hearing("a", slice(0, 200)),
+                   point_hearing("solo", slice(300, 400)),
+                   point_hearing("b", slice(150, 300))},
+                  "index"));
+  expect_index_complete(*base);
+
+  // Grow: a new point brings 300 new BSSIDs.
+  DatabaseDelta grow;
+  grow.upserts.push_back(point_hearing("c", slice(400, 700)));
+  const auto grown = base->delta_compile(grow);
+  EXPECT_EQ(grown->universe_size(), 700u);
+  expect_index_complete(*grown);
+
+  // Shrink: "solo" is resurveyed hearing only shared BSSIDs, so its
+  // hundred leave the universe.
+  DatabaseDelta shrink;
+  shrink.upserts.push_back(point_hearing("solo", slice(0, 10)));
+  const auto shrunk = grown->delta_compile(shrink);
+  EXPECT_EQ(shrunk->universe_size(), 600u);
+  expect_index_complete(*shrunk, slice(300, 400));
+
+  // Both at once: "c" trades its BSSIDs for the last 200.
+  DatabaseDelta both;
+  both.upserts.push_back(point_hearing("c", slice(700, 900)));
+  const auto moved = shrunk->delta_compile(both);
+  EXPECT_EQ(moved->universe_size(), 500u);
+  expect_index_complete(*moved, slice(300, 700));
 }
 
 // v2 kernel invariant: every SoA matrix row (and every compiled

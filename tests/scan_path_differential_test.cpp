@@ -11,10 +11,15 @@
 // that both grows and shrinks the universe. Every ServiceFix field must
 // match bit for bit, and so must the rejected-sample and service.*
 // counter tallies; a query-echo probe makes every field of the folded
-// query visible in the fix. Also pins the two memory/identity
+// query visible in the fix. The window shape is an input too: rings of
+// 1, 2, 8 and 33 scans, minimum fills of 1 and 3, samples in reversed
+// or shuffled BSSID order, and one session alternating between a
+// compiled locator and the non-compiled Bayes grid, whose scans skip
+// the fold. Also pins the two memory/identity
 // properties the path relies on: CompiledDatabase::id() never repeats,
 // and a huge window_scans reserves nothing up front.
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -361,41 +366,65 @@ const core::Locator& locator_for(const Stream& stream, std::size_t i,
   return i < stream.swap_at ? base : swapped;
 }
 
-TEST(HostileScanDifferential, ServiceMatchesReference) {
-  const Snapshots snaps = make_snapshots();
-  // Grows and shrinks: the delta drops hx:solo and adds two BSSIDs.
-  ASSERT_FALSE(snaps.delta->slot_of(kSolo).has_value());
-  ASSERT_TRUE(snaps.base->slot_of(kSolo).has_value());
-  ASSERT_TRUE(snaps.delta->slot_of(kNew1).has_value());
-  ASSERT_EQ(snaps.delta->universe_size(), snaps.base->universe_size() + 1);
+/// How a stream's scans reach the service: as generated (BSSIDs mostly
+/// in order, the way NICs report them), or with each scan's
+/// samples reversed or shuffled at random.
+enum class SampleOrder { kAsGenerated, kMixed };
 
+/// `stream` with each scan's samples left alone, reversed or shuffled
+/// (a third each), seeded by `seed`.
+Stream reordered(Stream stream, std::uint64_t seed) {
+  stats::Rng rng(seed * 0xD1B54A32D192ED03ULL + 5);
+  for (radio::ScanRecord& scan : stream.scans) {
+    switch (rng.uniform_int(0, 2)) {
+      case 0: break;
+      case 1: std::reverse(scan.samples.begin(), scan.samples.end()); break;
+      default:
+        for (std::size_t k = scan.samples.size(); k > 1; --k) {
+          const auto pick = static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(k) - 1));
+          std::swap(scan.samples[k - 1], scan.samples[pick]);
+        }
+    }
+  }
+  return stream;
+}
+
+/// Races a bare service of every kind against the reference, both under
+/// `config`, over the hostile streams of seeds [first, first + count).
+void race_services(const Snapshots& snaps,
+                   const core::LocationServiceConfig& config,
+                   std::uint64_t first, std::uint64_t count,
+                   SampleOrder order, Tally& tally) {
   const std::vector<Kind> all = kinds();
   std::vector<std::shared_ptr<const core::Locator>> base, swapped;
   for (const Kind& kind : all) {
     base.push_back(kind.make(snaps.base));
     swapped.push_back(kind.make(snaps.delta));
   }
-  const ServiceCounters before = service_counters();
-  Tally tally;
-  for (std::uint64_t seed = 0; seed < kStreams; ++seed) {
-    const Stream stream = hostile_stream(seed);
+  const std::string shape = "window " + std::to_string(config.window_scans) +
+                            "/min " + std::to_string(config.min_scans) + " ";
+  for (std::uint64_t seed = first; seed < first + count; ++seed) {
+    const Stream stream = order == SampleOrder::kMixed
+                              ? reordered(hostile_stream(seed), seed)
+                              : hostile_stream(seed);
     for (std::size_t k = 0; k < all.size(); ++k) {
       const Kind& kind = all[k];
-      testkit::ReferenceScanSession ref;
-      core::LocationService service(core::LocationServiceConfig{});
+      testkit::ReferenceScanSession ref(config);
+      core::LocationService service(config);
       for (std::size_t i = 0; i < stream.scans.size(); ++i) {
         const core::Locator& locator =
             locator_for(stream, i, *base[k], *swapped[k]);
         const core::ServiceFix want = ref.on_scan(locator, stream.scans[i]);
         const core::ServiceFix got =
             service.on_scan(locator, stream.scans[i]);
-        tally.note(kind.name + " seed " + std::to_string(seed) + " scan " +
-                       std::to_string(i),
+        tally.note(shape + kind.name + " seed " + std::to_string(seed) +
+                       " scan " + std::to_string(i),
                    fix_diff(want, got));
         tally.count(got);
       }
       if (service.rejected_samples() != ref.rejected_samples()) {
-        tally.note(kind.name + " seed " + std::to_string(seed),
+        tally.note(shape + kind.name + " seed " + std::to_string(seed),
                    " rejected_samples");
       }
       ++tally.streams;
@@ -404,6 +433,20 @@ TEST(HostileScanDifferential, ServiceMatchesReference) {
       tally.degraded += ref.degraded_fixes();
     }
   }
+}
+
+TEST(HostileScanDifferential, ServiceMatchesReference) {
+  const Snapshots snaps = make_snapshots();
+  // Grows and shrinks: the delta drops hx:solo and adds two BSSIDs.
+  ASSERT_FALSE(snaps.delta->slot_of(kSolo).has_value());
+  ASSERT_TRUE(snaps.base->slot_of(kSolo).has_value());
+  ASSERT_TRUE(snaps.delta->slot_of(kNew1).has_value());
+  ASSERT_EQ(snaps.delta->universe_size(), snaps.base->universe_size() + 1);
+
+  const ServiceCounters before = service_counters();
+  Tally tally;
+  race_services(snaps, core::LocationServiceConfig{}, 0, kStreams,
+                SampleOrder::kAsGenerated, tally);
   const ServiceCounters after = service_counters();
 
   EXPECT_EQ(tally.mismatch_count, 0u)
@@ -411,10 +454,78 @@ TEST(HostileScanDifferential, ServiceMatchesReference) {
   EXPECT_EQ(after.scans - before.scans, tally.scans);
   EXPECT_EQ(after.rejected - before.rejected, tally.rejected);
   EXPECT_EQ(after.degraded - before.degraded, tally.degraded);
-  EXPECT_GE(tally.streams / all.size(), kStreams);
+  EXPECT_GE(tally.streams / kinds().size(), kStreams);
   EXPECT_GT(tally.rejected, 0u);
   EXPECT_GT(tally.overflow_fixes, 0u);
   EXPECT_GT(tally.degraded_reasons, 0u);
+}
+
+// The window shape is one more input: rings of one scan (every scan
+// overwrites the only entry), two, the default eight and 33 (longer
+// than most streams, so it rarely wraps), each reporting from the first
+// scan or only from the third, fed scans whose samples arrive reversed
+// or shuffled, so a slot's readings reach the merge out of BSSID order
+// and duplicate BSSIDs in either order.
+TEST(HostileScanDifferential, WindowShapesMatchReference) {
+  const Snapshots snaps = make_snapshots();
+  constexpr std::uint64_t kShapeStreams = 150;
+  std::uint64_t first = 0;
+  for (const std::size_t window : {1u, 2u, 8u, 33u}) {
+    for (const std::size_t min_scans : {1u, 3u}) {
+      core::LocationServiceConfig config;
+      config.window_scans = window;
+      config.min_scans = min_scans;
+      Tally tally;
+      race_services(snaps, config, first, kShapeStreams, SampleOrder::kMixed,
+                    tally);
+      first += kShapeStreams;
+      EXPECT_EQ(tally.mismatch_count, 0u)
+          << "first: " << tally.mismatches.front();
+      EXPECT_GT(tally.rejected, 0u);
+      EXPECT_GT(tally.degraded_reasons, 0u);
+    }
+  }
+}
+
+// One unbound service, two locators over one snapshot: a compiled one
+// and the Bayes grid, which has no compiled database, so the service
+// skips its fold for those scans and the next compiled scan must
+// rebuild its run from the ring instead of merging into a stale one.
+TEST(HostileScanDifferential, FoldsSkippedByANonCompiledLocatorRebuild) {
+  const Snapshots snaps = make_snapshots();
+  const std::vector<Kind> all = kinds();
+  const Kind& grid = all.back();
+  ASSERT_EQ(grid.name, "bayes-grid");
+  const std::shared_ptr<const core::Locator> bayes = grid.make(snaps.base);
+  ASSERT_EQ(bayes->compiled_database(), nullptr);
+  Tally tally;
+  std::uint64_t skipped_then_folded = 0;
+  for (std::size_t k = 0; k + 1 < all.size(); ++k) {
+    const std::shared_ptr<const core::Locator> compiled =
+        all[k].make(snaps.base);
+    for (std::uint64_t seed = 0; seed < kStreams / 4; ++seed) {
+      const Stream stream = reordered(hostile_stream(seed), seed);
+      stats::Rng pick(seed + 99);
+      testkit::ReferenceScanSession ref;
+      core::LocationService service(core::LocationServiceConfig{});
+      bool skipped = false;
+      for (std::size_t i = 0; i < stream.scans.size(); ++i) {
+        const bool use_grid = pick.bernoulli(0.4);
+        const core::Locator& locator = use_grid ? *bayes : *compiled;
+        const core::ServiceFix want = ref.on_scan(locator, stream.scans[i]);
+        const core::ServiceFix got =
+            service.on_scan(locator, stream.scans[i]);
+        tally.note(all[k].name + " seed " + std::to_string(seed) + " scan " +
+                       std::to_string(i),
+                   fix_diff(want, got));
+        if (!use_grid && skipped) ++skipped_then_folded;
+        skipped = use_grid;
+      }
+    }
+  }
+  EXPECT_EQ(tally.mismatch_count, 0u)
+      << "first: " << tally.mismatches.front();
+  EXPECT_GT(skipped_then_folded, 0u);
 }
 
 TEST(HostileScanDifferential, ServerMatchesReferenceAcrossSwaps) {
