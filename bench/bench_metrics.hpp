@@ -31,6 +31,15 @@ inline const char* build_type() {
 #endif
 }
 
+/// Wall-clock timing plus 5 repetitions for one benchmark, applied as
+/// `BENCHMARK(BM_X)->Apply(loctk::bench::wall_clock)`. Rate counters
+/// otherwise divide by main-thread CPU time, which undercounts any
+/// work handed to a pool; the repetitions let the committed JSON carry
+/// a median and a CV instead of one sample.
+inline void wall_clock(benchmark::internal::Benchmark* b) {
+  b->UseRealTime()->Repetitions(5);
+}
+
 inline void write_metrics_snapshot(const std::string& bench_name) {
   const metrics::MetricsSnapshot snap =
       metrics::MetricsRegistry::global().snapshot();

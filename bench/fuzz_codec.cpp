@@ -4,23 +4,32 @@
 // containers, and location maps, then pushes every mutant through the
 // structured-error entry points. The contract under test: *every*
 // outcome is either a successfully decoded value or a typed
-// `loctk::Error` — never an uncaught exception, never UB. The CI
-// sanitizer job runs this under ASan/UBSan, where any out-of-bounds
-// read during decoding aborts the process.
+// `loctk::Error` — never an uncaught exception, never UB. Every wi-scan
+// mutant that parses is also checked against the interner: rebuilt
+// row by row with `add(entry(i))` it must equal itself, and
+// `build_training_point` must match the seed's string-keyed std::map
+// grouping on every AP's count, mean, sigma, min and max, bit for bit.
+// The CI sanitizer job runs this under ASan/UBSan, where any
+// out-of-bounds read during decoding aborts the process.
 //
 // Usage: fuzz_codec [iterations-per-target] [seed]
 // Defaults: 2000 iterations per target, fixed seed (deterministic).
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <random>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "base/error.hpp"
+#include "stats/running_stats.hpp"
 #include "traindb/codec.hpp"
 #include "traindb/database.hpp"
+#include "traindb/generator.hpp"
 #include "wiscan/archive.hpp"
 #include "wiscan/scan_buffer.hpp"
 
@@ -111,6 +120,7 @@ struct Tally {
   long ok = 0;
   long typed[5] = {0, 0, 0, 0, 0};
   long escaped = 0;  // anything not a value / typed Error — a failure
+  long mismatched = 0;  // decoded values that failed their check
 
   void count(const loctk::Error& e) {
     typed[static_cast<int>(e.code())]++;
@@ -126,14 +136,62 @@ void report(const char* target, const Tally& t, long iterations) {
   std::printf(
       "%-14s %7ld iters: %6ld ok, %6ld rejected "
       "(io=%ld parse=%ld corrupt=%ld degenerate=%ld internal=%ld), "
-      "%ld escaped\n",
+      "%ld escaped, %ld mismatched\n",
       target, iterations, t.ok, t.rejected(), t.typed[0], t.typed[1],
-      t.typed[2], t.typed[3], t.typed[4], t.escaped);
+      t.typed[2], t.typed[3], t.typed[4], t.escaped, t.mismatched);
 }
 
-template <typename TryDecode>
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+// The interner's two promises on one parsed wi-scan file: rebuilding
+// it row by row gives an equal file, and the generator's counting-sort
+// grouping matches the seed's std::map grouping bit for bit.
+bool interned_file_holds(const loctk::wiscan::WiScanFile& file) {
+  loctk::wiscan::WiScanFile rebuilt;
+  rebuilt.location = file.location;
+  for (std::size_t i = 0; i < file.size(); ++i) rebuilt.add(file.entry(i));
+  if (!(rebuilt == file)) return false;
+
+  std::map<std::string, std::vector<double>> grouped;
+  for (std::size_t i = 0; i < file.size(); ++i) {
+    const loctk::wiscan::WiScanEntry e = file.entry(i);
+    grouped[e.bssid].push_back(e.rssi_dbm);
+  }
+  loctk::traindb::GeneratorConfig config;
+  config.min_samples_per_ap = 1;
+  const loctk::traindb::TrainingPoint point =
+      loctk::traindb::build_training_point(file, {0.0, 0.0}, config);
+  if (point.per_ap.size() != grouped.size()) return false;
+  auto group = grouped.begin();
+  for (const loctk::traindb::ApStatistics& ap : point.per_ap) {
+    const auto& [bssid, readings] = *group++;
+    loctk::stats::RunningStats rs;
+    for (const double r : readings) rs.add(r);
+    if (ap.bssid != bssid || ap.sample_count != readings.size() ||
+        !same_bits(ap.mean_dbm, rs.mean()) ||
+        !same_bits(ap.stddev_db, rs.stddev()) ||
+        !same_bits(ap.min_dbm, rs.min()) ||
+        !same_bits(ap.max_dbm, rs.max())) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Every decoded value passes; targets with a deeper contract override.
+struct AcceptAll {
+  template <typename T>
+  bool operator()(const T&) const {
+    return true;
+  }
+};
+
+template <typename TryDecode, typename Check = AcceptAll>
 Tally fuzz_target(const std::string& golden, long iterations,
-                  std::uint64_t seed, TryDecode&& try_decode) {
+                  std::uint64_t seed, TryDecode&& try_decode,
+                  Check&& check = {}) {
   std::mt19937_64 rng(seed);
   Tally tally;
   for (long i = 0; i < iterations; ++i) {
@@ -144,6 +202,7 @@ Tally fuzz_target(const std::string& golden, long iterations,
       const auto result = try_decode(bytes);
       if (result.ok()) {
         ++tally.ok;
+        if (!check(result.value())) ++tally.mismatched;
       } else {
         tally.count(result.error());
       }
@@ -164,6 +223,7 @@ int main(int argc, char** argv) {
       argc > 2 ? std::strtoull(argv[2], nullptr, 0) : 0x10c7f0221ull;
 
   long escaped = 0;
+  long mismatched = 0;
 
   {
     const Tally t = fuzz_target(
@@ -178,9 +238,11 @@ int main(int argc, char** argv) {
         golden_wiscan_text(), iterations, seed ^ 0x1111,
         [](const std::string& b) {
           return loctk::wiscan::try_parse_wiscan_buffer(b, "fallback");
-        });
+        },
+        interned_file_holds);
     report("wiscan", t, iterations);
     escaped += t.escaped;
+    mismatched += t.mismatched;
   }
   {
     // The archive reader still speaks exceptions; adapt inline so the
@@ -214,6 +276,15 @@ int main(int argc, char** argv) {
                  escaped);
     return 1;
   }
-  std::printf("all mutants handled: value or typed error, zero escapes\n");
+  if (mismatched != 0) {
+    std::fprintf(stderr,
+                 "FAIL: %ld parsed wi-scan mutants broke the interner's "
+                 "rebuild or grouping contract\n",
+                 mismatched);
+    return 1;
+  }
+  std::printf(
+      "all mutants handled: value or typed error, zero escapes, zero "
+      "mismatches\n");
   return 0;
 }

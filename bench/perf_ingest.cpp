@@ -1,17 +1,20 @@
-// PERF — the zero-copy ingest pipeline: seed istream parsing vs the
-// buffer-oriented scanner, end-to-end training-database generation
-// serial vs parallel, and training-database load paths.
+// PERF — the ingest pipeline: seed istream parsing vs the interning
+// buffer parser, end-to-end training-database generation serial vs
+// parallel, training-database load paths, and the served cold start
+// of a 1020-AP campus.
 //
 // Workload: a synthetic survey corpus written to a temp directory —
 // 64 locations x 150 scan passes x ~8 APs per pass (~75k rows,
 // ~4.5 MB of wi-scan text) plus the matching location map and `.ltdb`
-// encodings. The "seed" BMs reproduce the growth seed's
+// encodings — and, for BM_ColdStart_Campus, a surveyed campus (240
+// rooms, 10 passes each). The "seed" BMs reproduce the growth seed's
 // getline + istringstream parser, std::map-grouped aggregation, and
 // ostringstream double-copy file slurp exactly as shipped, so the
 // JSON trajectory keeps an honest baseline as the reference paths
-// improve. BENCH_ingest.json next to the repo root records the
-// checked-in run (see docs/ALGORITHMS.md "Ingest pipeline" for
-// methodology).
+// improve. Every entry is timed on the wall clock (pool runs burn CPU
+// off the main thread) and repeated 5 times; BENCH_ingest.json next to
+// the repo root records the checked-in run's aggregates (see
+// docs/ALGORITHMS.md "Ingest pipeline" for methodology).
 
 #include <benchmark/benchmark.h>
 
@@ -29,6 +32,8 @@
 #include "core/compiled_db.hpp"
 #include "core/observation.hpp"
 #include "core/probabilistic.hpp"
+#include "radio/campus.hpp"
+#include "radio/scanner.hpp"
 #include "stats/running_stats.hpp"
 #include "traindb/codec.hpp"
 #include "traindb/generator.hpp"
@@ -36,6 +41,7 @@
 #include "wiscan/format.hpp"
 #include "wiscan/location_map.hpp"
 #include "wiscan/scan_buffer.hpp"
+#include "wiscan/survey.hpp"
 
 using namespace loctk;
 
@@ -67,8 +73,6 @@ struct IngestCorpus {
       // corpus rows match what real capture sessions produce.
       wiscan::WiScanFile file;
       file.location = name;
-      file.entries.reserve(
-          static_cast<std::size_t>(kScansPerLocation * kApsPerScan));
       for (int t = 0; t < kScansPerLocation; ++t) {
         for (int a = 0; a < kApsPerScan; ++a) {
           wiscan::WiScanEntry e;
@@ -77,7 +81,7 @@ struct IngestCorpus {
           e.ssid = "loctk";
           e.channel = 1 + a % 11;
           e.rssi_dbm = synth_rssi(loc, t, a);
-          file.entries.push_back(std::move(e));
+          file.add(e);
         }
       }
       const std::string text = wiscan::encode_wiscan(file);
@@ -119,8 +123,28 @@ const IngestCorpus& corpus() {
 
 // --- seed replicas ---------------------------------------------------
 // The growth seed's ingest path, verbatim: getline + istringstream
-// token loop, stod per number, std::map grouping, incremental
-// add_point universe insertion, and the ostringstream file slurp.
+// token loop, stod per number, one string-bearing entry per row,
+// std::map grouping, incremental add_point universe insertion, and the
+// ostringstream file slurp.
+
+struct SeedWiScanFile {
+  std::string location;
+  std::vector<wiscan::WiScanEntry> entries;
+
+  std::size_t scan_count() const {
+    std::size_t count = 0;
+    double last = -1.0;
+    bool first = true;
+    for (const wiscan::WiScanEntry& e : entries) {
+      if (first || e.timestamp_s != last) {
+        ++count;
+        last = e.timestamp_s;
+        first = false;
+      }
+    }
+    return count;
+  }
+};
 
 double seed_parse_double(const std::string& text) {
   std::size_t used = 0;
@@ -131,9 +155,9 @@ double seed_parse_double(const std::string& text) {
   return v;
 }
 
-wiscan::WiScanFile seed_read_wiscan(std::istream& is,
-                                    const std::string& fallback) {
-  wiscan::WiScanFile file;
+SeedWiScanFile seed_read_wiscan(std::istream& is,
+                                const std::string& fallback) {
+  SeedWiScanFile file;
   file.location = fallback;
   std::string line;
   double last_time = 0.0;
@@ -194,24 +218,24 @@ wiscan::WiScanFile seed_read_wiscan(std::istream& is,
   return file;
 }
 
-wiscan::Collection seed_load_collection(const fs::path& source) {
-  wiscan::Collection c;
+std::vector<SeedWiScanFile> seed_load_collection(const fs::path& source) {
+  std::vector<SeedWiScanFile> files;
   for (const auto& entry : fs::recursive_directory_iterator(source)) {
     if (!entry.is_regular_file()) continue;
     if (entry.path().extension() != ".wiscan") continue;
     std::ifstream is(entry.path());
-    c.files.push_back(seed_read_wiscan(
+    files.push_back(seed_read_wiscan(
         is, wiscan::sanitize_location_name(entry.path().stem().string())));
   }
-  std::sort(c.files.begin(), c.files.end(),
-            [](const wiscan::WiScanFile& a, const wiscan::WiScanFile& b) {
+  std::sort(files.begin(), files.end(),
+            [](const SeedWiScanFile& a, const SeedWiScanFile& b) {
               return a.location < b.location;
             });
-  return c;
+  return files;
 }
 
 traindb::TrainingPoint seed_build_training_point(
-    const wiscan::WiScanFile& file, geom::Vec2 position,
+    const SeedWiScanFile& file, geom::Vec2 position,
     const traindb::GeneratorConfig& config) {
   traindb::TrainingPoint point;
   point.location = file.location;
@@ -244,10 +268,10 @@ traindb::TrainingDatabase seed_generate_from_path(
   // The seed entry point re-read the location map per call, like
   // generate_database_from_path still does.
   const wiscan::LocationMap map = wiscan::LocationMap::read(map_file);
-  const wiscan::Collection collection = seed_load_collection(source);
+  const std::vector<SeedWiScanFile> files = seed_load_collection(source);
   traindb::TrainingDatabase db;
   db.set_site_name(config.site_name);
-  for (const wiscan::WiScanFile& f : collection.files) {
+  for (const SeedWiScanFile& f : files) {
     const auto position = map.find(f.location);
     if (!position) continue;
     db.add_point(seed_build_training_point(f, *position, config));
@@ -266,9 +290,11 @@ void BM_ParseWiScan_SeedIstream(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(c.merged_text.size()));
 }
-BENCHMARK(BM_ParseWiScan_SeedIstream)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ParseWiScan_SeedIstream)
+    ->Apply(bench::wall_clock)
+    ->Unit(benchmark::kMillisecond);
 
-void BM_ParseWiScan_Buffer(benchmark::State& state) {
+void BM_ParseWiScan_Interned(benchmark::State& state) {
   const IngestCorpus& c = corpus();
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -277,7 +303,9 @@ void BM_ParseWiScan_Buffer(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(c.merged_text.size()));
 }
-BENCHMARK(BM_ParseWiScan_Buffer)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ParseWiScan_Interned)
+    ->Apply(bench::wall_clock)
+    ->Unit(benchmark::kMillisecond);
 
 // --- collection load -------------------------------------------------
 
@@ -289,9 +317,11 @@ void BM_LoadCollection_SeedIstream(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(c.corpus_bytes));
 }
-BENCHMARK(BM_LoadCollection_SeedIstream)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_LoadCollection_SeedIstream)
+    ->Apply(bench::wall_clock)
+    ->Unit(benchmark::kMillisecond);
 
-void BM_LoadCollection_Buffer(benchmark::State& state) {
+void BM_LoadCollection_Interned(benchmark::State& state) {
   const IngestCorpus& c = corpus();
   for (auto _ : state) {
     benchmark::DoNotOptimize(wiscan::load_collection(c.dir / "scans"));
@@ -299,9 +329,11 @@ void BM_LoadCollection_Buffer(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(c.corpus_bytes));
 }
-BENCHMARK(BM_LoadCollection_Buffer)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_LoadCollection_Interned)
+    ->Apply(bench::wall_clock)
+    ->Unit(benchmark::kMillisecond);
 
-void BM_LoadCollection_BufferParallel(benchmark::State& state) {
+void BM_LoadCollection_InternedParallel(benchmark::State& state) {
   const IngestCorpus& c = corpus();
   concurrency::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
@@ -310,7 +342,8 @@ void BM_LoadCollection_BufferParallel(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(c.corpus_bytes));
 }
-BENCHMARK(BM_LoadCollection_BufferParallel)
+BENCHMARK(BM_LoadCollection_InternedParallel)
+    ->Apply(bench::wall_clock)
     ->Arg(2)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);
@@ -326,18 +359,22 @@ void BM_GeneratorE2E_SeedIstream(benchmark::State& state) {
   state.counters["corpus_mb"] =
       static_cast<double>(c.corpus_bytes) / (1024.0 * 1024.0);
 }
-BENCHMARK(BM_GeneratorE2E_SeedIstream)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GeneratorE2E_SeedIstream)
+    ->Apply(bench::wall_clock)
+    ->Unit(benchmark::kMillisecond);
 
-void BM_GeneratorE2E_Buffer(benchmark::State& state) {
+void BM_GeneratorE2E_Collection(benchmark::State& state) {
   const IngestCorpus& c = corpus();
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         traindb::generate_database_from_path(c.dir / "scans", c.map_file));
   }
 }
-BENCHMARK(BM_GeneratorE2E_Buffer)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GeneratorE2E_Collection)
+    ->Apply(bench::wall_clock)
+    ->Unit(benchmark::kMillisecond);
 
-void BM_GeneratorE2E_BufferParallel(benchmark::State& state) {
+void BM_GeneratorE2E_CollectionParallel(benchmark::State& state) {
   const IngestCorpus& c = corpus();
   concurrency::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
@@ -345,7 +382,8 @@ void BM_GeneratorE2E_BufferParallel(benchmark::State& state) {
         c.dir / "scans", c.map_file, {}, nullptr, &pool));
   }
 }
-BENCHMARK(BM_GeneratorE2E_BufferParallel)
+BENCHMARK(BM_GeneratorE2E_CollectionParallel)
+    ->Apply(bench::wall_clock)
     ->Arg(2)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);
@@ -358,7 +396,9 @@ void BM_CompileCollection_Direct(benchmark::State& state) {
     benchmark::DoNotOptimize(core::compile_collection(collection, c.map));
   }
 }
-BENCHMARK(BM_CompileCollection_Direct)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CompileCollection_Direct)
+    ->Apply(bench::wall_clock)
+    ->Unit(benchmark::kMillisecond);
 
 // --- training-database load -----------------------------------------
 
@@ -377,9 +417,11 @@ void BM_CodecLoad_SeedSlurp(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations()) *
       static_cast<std::int64_t>(fs::file_size(c.ltdb_samples)));
 }
-BENCHMARK(BM_CodecLoad_SeedSlurp)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CodecLoad_SeedSlurp)
+    ->Apply(bench::wall_clock)
+    ->Unit(benchmark::kMillisecond);
 
-void BM_CodecLoad_Mapped(benchmark::State& state) {
+void BM_CodecLoad_ReadFileBytes(benchmark::State& state) {
   const IngestCorpus& c = corpus();
   for (auto _ : state) {
     benchmark::DoNotOptimize(traindb::read_database(c.ltdb_samples));
@@ -388,7 +430,9 @@ void BM_CodecLoad_Mapped(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations()) *
       static_cast<std::int64_t>(fs::file_size(c.ltdb_samples)));
 }
-BENCHMARK(BM_CodecLoad_Mapped)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CodecLoad_ReadFileBytes)
+    ->Apply(bench::wall_clock)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ServeLoad_TwoStep(benchmark::State& state) {
   const IngestCorpus& c = corpus();
@@ -398,7 +442,9 @@ void BM_ServeLoad_TwoStep(benchmark::State& state) {
     benchmark::DoNotOptimize(core::CompiledDatabase(db));
   }
 }
-BENCHMARK(BM_ServeLoad_TwoStep)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ServeLoad_TwoStep)
+    ->Apply(bench::wall_clock)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ServeLoad_Direct(benchmark::State& state) {
   const IngestCorpus& c = corpus();
@@ -406,7 +452,9 @@ void BM_ServeLoad_Direct(benchmark::State& state) {
     benchmark::DoNotOptimize(core::load_compiled_database(c.ltdb_stats));
   }
 }
-BENCHMARK(BM_ServeLoad_Direct)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ServeLoad_Direct)
+    ->Apply(bench::wall_clock)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ProbeDatabase(benchmark::State& state) {
   const IngestCorpus& c = corpus();
@@ -414,7 +462,59 @@ void BM_ProbeDatabase(benchmark::State& state) {
     benchmark::DoNotOptimize(traindb::probe_database(c.ltdb_samples));
   }
 }
-BENCHMARK(BM_ProbeDatabase)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ProbeDatabase)
+    ->Apply(bench::wall_clock)
+    ->Unit(benchmark::kMicrosecond);
+
+// --- served cold start -------------------------------------------------
+// What a server pays to bring one campus site up from its survey
+// files: the scanbench `campus_fleet` set-up minus the location map
+// and locator build. 2 buildings x 3 floors x 40 rooms, 10 scan passes
+// per room (~130k rows, 240 files) — the paper's Training Database
+// Generator at the ROADMAP's corpus scale.
+struct CampusSurvey {
+  CampusSurvey() {
+    dir = fs::temp_directory_path() / "loctk_perf_ingest_campus";
+    fs::remove_all(dir);
+    const std::unique_ptr<radio::Campus> campus = radio::make_campus();
+    for (std::size_t b = 0; b < campus->building_count(); ++b) {
+      const std::vector<geom::Vec2> rooms = campus->room_centers(b);
+      for (std::size_t f = 0; f < campus->floors_per_building(); ++f) {
+        const std::string tag =
+            "b" + std::to_string(b) + "f" + std::to_string(f) + "-r";
+        wiscan::LocationMap floor_map;
+        for (std::size_t r = 0; r < rooms.size(); ++r) {
+          floor_map.add(tag + std::to_string(r), rooms[r]);
+          map.add(tag + std::to_string(r), rooms[r]);
+        }
+        const radio::CampusFloorView view(*campus, b, f);
+        radio::Scanner scanner(view, radio::ChannelConfig{},
+                               9001 + campus->flat_floor(b, f));
+        wiscan::SurveyConfig cfg;
+        cfg.scans_per_location = 10;
+        wiscan::SurveyCampaign(scanner, cfg)
+            .run_to_directory(floor_map, dir);
+      }
+    }
+  }
+
+  fs::path dir;
+  wiscan::LocationMap map;
+};
+
+void BM_ColdStart_Campus(benchmark::State& state) {
+  static const CampusSurvey survey;
+  traindb::GeneratorConfig config;
+  config.site_name = "campus";
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::CompiledDatabase::compile_owned(
+        traindb::generate_database(wiscan::load_collection(survey.dir),
+                                   survey.map, config)));
+  }
+}
+BENCHMARK(BM_ColdStart_Campus)
+    ->Apply(bench::wall_clock)
+    ->Unit(benchmark::kMillisecond);
 
 // --- serve: the ingested database answering queries ------------------
 // Closes the pipeline the rest of this file feeds: every surveyed
@@ -430,14 +530,16 @@ void BM_ServeLocate_Batch(benchmark::State& state) {
   std::vector<core::Observation> batch;
   batch.reserve(collection.files.size());
   for (const wiscan::WiScanFile& f : collection.files) {
-    batch.push_back(core::Observation::from_entries(f.entries));
+    batch.push_back(core::Observation::from_entries(f));
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(locator.locate_batch(batch));
   }
   state.counters["obs"] = static_cast<double>(batch.size());
 }
-BENCHMARK(BM_ServeLocate_Batch)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ServeLocate_Batch)
+    ->Apply(bench::wall_clock)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

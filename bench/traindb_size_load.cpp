@@ -76,7 +76,7 @@ void BM_ParseWiscanCollection(benchmark::State& state) {
     for (const auto& f : c.collection.files) {
       const wiscan::WiScanFile parsed =
           wiscan::decode_wiscan(wiscan::encode_wiscan(f), f.location);
-      entries += parsed.entries.size();
+      entries += parsed.size();
     }
     benchmark::DoNotOptimize(entries);
   }

@@ -57,8 +57,7 @@ int main(int argc, char** argv) {
   try {
     const traindb::TrainingDatabase db = traindb::read_database(argv[1]);
     const wiscan::WiScanFile capture = wiscan::read_wiscan(argv[2]);
-    const core::Observation obs =
-        core::Observation::from_entries(capture.entries);
+    const core::Observation obs = core::Observation::from_entries(capture);
     std::printf("database: %zu training points, %zu APs (site \"%s\")\n",
                 db.size(), db.bssid_universe().size(),
                 db.site_name().c_str());

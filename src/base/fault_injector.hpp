@@ -53,7 +53,7 @@ class FaultInjector {
   void arm(const FaultInjectorConfig& config);
   void disarm();
 
-  /// Lock-free; the hot-path guard in FileBuffer/read_file_bytes.
+  /// Lock-free; one relaxed load.
   bool armed() const { return armed_.load(std::memory_order_relaxed); }
 
   /// True when this open/read should fail. Always false when disarmed.

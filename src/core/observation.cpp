@@ -42,11 +42,10 @@ Observation Observation::from_scans(
   return obs;
 }
 
-Observation Observation::from_entries(
-    const std::vector<wiscan::WiScanEntry>& entries) {
+Observation Observation::from_entries(const wiscan::WiScanFile& file) {
   std::map<std::string, std::vector<double>> grouped;
-  for (const wiscan::WiScanEntry& e : entries) {
-    grouped[e.bssid].push_back(e.rssi_dbm);
+  for (const wiscan::WiScanRow& row : file.rows()) {
+    grouped[file.bssids()[row.bssid]].push_back(row.rssi_dbm);
   }
   Observation obs;
   obs.aps_ = to_aps(grouped);

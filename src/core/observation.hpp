@@ -39,9 +39,8 @@ class Observation {
   /// Builds from simulator scan records.
   static Observation from_scans(const std::vector<radio::ScanRecord>& scans);
 
-  /// Builds from wi-scan entries (e.g. a replayed capture file).
-  static Observation from_entries(
-      const std::vector<wiscan::WiScanEntry>& entries);
+  /// Builds from the rows of a wi-scan file (e.g. a replayed capture).
+  static Observation from_entries(const wiscan::WiScanFile& file);
 
   const std::vector<ObservedAp>& aps() const { return aps_; }
   std::size_t ap_count() const { return aps_.size(); }

@@ -8,6 +8,7 @@
 /// standard deviation; this accumulator computes both in one pass and
 /// supports merging partial results from parallel workers.
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 
@@ -18,8 +19,16 @@ namespace loctk::stats {
 /// combined exactly (Chan et al. parallel variance).
 class RunningStats {
  public:
-  /// Add one sample.
-  void add(double x);
+  /// Add one sample. Inline: the training-database generator calls it
+  /// once per wi-scan row.
+  void add(double x) {
+    ++n_;
+    const double delta = x - mean_;
+    mean_ += delta / static_cast<double>(n_);
+    m2_ += delta * (x - mean_);
+    min_ = std::min(min_, x);
+    max_ = std::max(max_, x);
+  }
 
   /// Merge another accumulator into this one. Exact: the result is
   /// identical (up to FP rounding) to having seen all samples here.

@@ -244,8 +244,7 @@ void write_database(const std::filesystem::path& path,
 
 TrainingDatabase read_database(const std::filesystem::path& path) {
   try {
-    const wiscan::FileBuffer buffer(path);
-    return decode_database(buffer.view());
+    return decode_database(wiscan::read_file_bytes(path));
   } catch (const wiscan::BufferError&) {
     throw CodecError("codec: cannot open input file");
   }
@@ -268,8 +267,7 @@ Result<TrainingDatabase> try_decode_database(std::string_view bytes) {
 Result<TrainingDatabase> try_read_database(
     const std::filesystem::path& path) {
   try {
-    const wiscan::FileBuffer buffer(path);
-    return try_decode_database(buffer.view())
+    return try_decode_database(wiscan::read_file_bytes(path))
         .with_context("reading '" + path.string() + "'");
   } catch (const wiscan::BufferError& e) {
     return Error(ErrorCode::kIo, e.what());

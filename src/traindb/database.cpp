@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <string_view>
+#include <unordered_set>
 
 namespace loctk::traindb {
 
@@ -31,20 +33,26 @@ TrainingDatabase TrainingDatabase::from_points(
   TrainingDatabase db;
   db.site_name_ = std::move(site_name);
 
-  std::vector<std::string> universe;
+  // Dedupe through a hash set of views into the points' own strings,
+  // so only the distinct BSSIDs are sorted and each is built once.
+  // (The generator emits per_ap already sorted.)
+  std::unordered_set<std::string_view> seen;
+  std::vector<std::string_view> universe;
   std::vector<const std::string*> names;
   names.reserve(points.size());
+  const auto by_bssid = [](const ApStatistics& a, const ApStatistics& b) {
+    return a.bssid < b.bssid;
+  };
   for (TrainingPoint& point : points) {
-    std::sort(point.per_ap.begin(), point.per_ap.end(),
-              [](const ApStatistics& a, const ApStatistics& b) {
-                return a.bssid < b.bssid;
-              });
-    for (const ApStatistics& s : point.per_ap) universe.push_back(s.bssid);
+    if (!std::is_sorted(point.per_ap.begin(), point.per_ap.end(), by_bssid)) {
+      std::sort(point.per_ap.begin(), point.per_ap.end(), by_bssid);
+    }
+    for (const ApStatistics& s : point.per_ap) {
+      if (seen.insert(s.bssid).second) universe.push_back(s.bssid);
+    }
     names.push_back(&point.location);
   }
   std::sort(universe.begin(), universe.end());
-  universe.erase(std::unique(universe.begin(), universe.end()),
-                 universe.end());
 
   std::sort(names.begin(), names.end(),
             [](const std::string* a, const std::string* b) { return *a < *b; });
@@ -55,7 +63,7 @@ TrainingDatabase TrainingDatabase::from_points(
     throw DatabaseError("TrainingDatabase: duplicate location: " + **dup);
   }
 
-  db.universe_ = std::move(universe);
+  db.universe_.assign(universe.begin(), universe.end());
   db.points_ = std::move(points);
   return db;
 }

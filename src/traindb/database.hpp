@@ -31,12 +31,13 @@ class TrainingDatabase {
   /// The per-AP list is sorted by BSSID and the universe updated.
   void add_point(TrainingPoint point);
 
-  /// Bulk constructor: equivalent to add_point() in order, but interns
-  /// the BSSID universe with one sort+unique pass instead of a sorted
-  /// insertion per <point, AP> pair. This is the ingest path — the
-  /// parallel generator builds all points first and assembles the
-  /// database in one shot. Throws DatabaseError on duplicate location
-  /// names.
+  /// Bulk constructor: equivalent to add_point() in order, but builds
+  /// the BSSID universe in one pass — a hash-set dedupe over views of
+  /// the points' strings, one sort of the distinct BSSIDs, one string
+  /// each — instead of a sorted insertion per <point, AP> pair. This is
+  /// the ingest path: the generator builds all points first and
+  /// assembles the database in one shot. Throws DatabaseError on
+  /// duplicate location names.
   static TrainingDatabase from_points(std::vector<TrainingPoint> points,
                                       std::string site_name = {});
 

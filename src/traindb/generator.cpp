@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
-#include <optional>
 #include <utility>
 
 #include "base/metrics.hpp"
@@ -38,63 +36,6 @@ metrics::HistogramMetric& generate_seconds_histogram() {
   return h;
 }
 
-constexpr std::size_t kNoBucket = static_cast<std::size_t>(-1);
-
-// Per-BSSID grouping used by both the materialized and the streaming
-// aggregation paths. A survey file has thousands of rows but only a
-// handful of distinct APs, so the table keeps a bssid-sorted vector of
-// buckets and binary-searches each row into place: O(n log k) string
-// compares with tiny k, versus the O(n log n) of sorting every row.
-// Scan passes also visit APs in a stable order, so each bucket
-// remembers which bucket the next row landed in last time; that
-// one-step prediction usually replaces the search with a single
-// equality check. Buckets stay in ascending BSSID order with capture
-// order preserved inside each — the same <key order, sample order>
-// the seed's std::map grouping produced, without a node allocation
-// per entry.
-template <typename Row>
-struct BucketTable {
-  struct Bucket {
-    std::string_view bssid;
-    std::vector<Row> rows;
-    std::size_t next_pred = kNoBucket;
-  };
-  std::vector<Bucket> buckets;
-  std::size_t predicted = kNoBucket;
-  std::size_t previous = kNoBucket;
-
-  void add(std::string_view key, Row row, std::size_t reserve_hint = 0) {
-    std::size_t idx;
-    if (predicted != kNoBucket && buckets[predicted].bssid == key) {
-      idx = predicted;
-    } else {
-      auto it = std::lower_bound(
-          buckets.begin(), buckets.end(), key,
-          [](const Bucket& b, std::string_view k) { return b.bssid < k; });
-      if (it == buckets.end() || it->bssid != key) {
-        const std::size_t inserted =
-            static_cast<std::size_t>(it - buckets.begin());
-        buckets.insert(it, Bucket{key, {}, kNoBucket});
-        if (reserve_hint > 0) buckets[inserted].rows.reserve(reserve_hint);
-        // Insertion shifted every index at or past the slot.
-        for (Bucket& b : buckets) {
-          if (b.next_pred != kNoBucket && b.next_pred >= inserted) {
-            ++b.next_pred;
-          }
-        }
-        if (previous != kNoBucket && previous >= inserted) ++previous;
-        idx = inserted;
-      } else {
-        idx = static_cast<std::size_t>(it - buckets.begin());
-      }
-    }
-    buckets[idx].rows.push_back(row);
-    if (previous != kNoBucket) buckets[previous].next_pred = idx;
-    predicted = buckets[idx].next_pred;
-    previous = idx;
-  }
-};
-
 }  // namespace
 
 TrainingPoint build_training_point(const wiscan::WiScanFile& file,
@@ -106,23 +47,47 @@ TrainingPoint build_training_point(const wiscan::WiScanFile& file,
   point.position = position;
 
   const std::size_t scans = file.scan_count();
+  const std::vector<std::string>& bssids = file.bssids();
+  const std::vector<wiscan::WiScanRow>& rows = file.rows();
 
-  BucketTable<const wiscan::WiScanEntry*> table;
-  for (const wiscan::WiScanEntry& e : file.entries) {
-    table.add(e.bssid, &e, scans);
+  // Counting sort of the readings by BSSID id: AP `id`'s readings land
+  // in [starts[id], starts[id + 1]) in capture order, the order the
+  // seed's std::map grouping accumulated them in.
+  std::vector<std::size_t> starts(bssids.size() + 1, 0);
+  for (const wiscan::WiScanRow& row : rows) ++starts[row.bssid + 1];
+  for (std::size_t id = 0; id < bssids.size(); ++id) {
+    starts[id + 1] += starts[id];
+  }
+  std::vector<double> readings(rows.size());
+  std::vector<std::size_t> fill(starts.begin(), starts.end() - 1);
+  for (const wiscan::WiScanRow& row : rows) {
+    readings[fill[row.bssid]++] = row.rssi_dbm;
   }
 
-  for (const auto& bucket : table.buckets) {
-    const std::size_t group_size = bucket.rows.size();
+  // APs in ascending BSSID order, as the seed's std::map visited them.
+  std::vector<std::uint32_t> order(bssids.size());
+  for (std::size_t id = 0; id < order.size(); ++id) {
+    order[id] = static_cast<std::uint32_t>(id);
+  }
+  std::sort(order.begin(), order.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              return bssids[a] < bssids[b];
+            });
+
+  point.per_ap.reserve(order.size());
+  for (const std::uint32_t id : order) {
+    const double* const first = readings.data() + starts[id];
+    const double* const last = readings.data() + starts[id + 1];
+    const auto group_size = static_cast<std::size_t>(last - first);
     if (group_size < config.min_samples_per_ap) {
       if (dropped_pairs) ++*dropped_pairs;
       continue;
     }
     stats::RunningStats rs;
-    for (const wiscan::WiScanEntry* row : bucket.rows) rs.add(row->rssi_dbm);
+    for (const double* r = first; r != last; ++r) rs.add(*r);
 
     ApStatistics ap;
-    ap.bssid = bucket.bssid;
+    ap.bssid = bssids[id];
     ap.mean_dbm = rs.mean();
     ap.stddev_db = rs.stddev();
     ap.sample_count = static_cast<std::uint32_t>(group_size);
@@ -131,9 +96,9 @@ TrainingPoint build_training_point(const wiscan::WiScanFile& file,
     ap.max_dbm = rs.max();
     if (config.keep_samples) {
       ap.samples_centi_dbm.reserve(group_size);
-      for (const wiscan::WiScanEntry* row : bucket.rows) {
-        ap.samples_centi_dbm.push_back(static_cast<std::int32_t>(
-            std::lround(row->rssi_dbm * 100.0)));
+      for (const double* r = first; r != last; ++r) {
+        ap.samples_centi_dbm.push_back(
+            static_cast<std::int32_t>(std::lround(*r * 100.0)));
       }
     }
     point.per_ap.push_back(std::move(ap));
@@ -220,272 +185,32 @@ TrainingDatabase generate_database_parallel(
   return assemble(config, std::move(built), dropped, report);
 }
 
-namespace {
-
-// --- streaming from-path pipeline -----------------------------------
-// generate_database_from_path never materializes WiScanEntry vectors:
-// rows stream out of scan_wiscan_buffer straight into per-BSSID
-// sample buckets whose keys are views into the (mmap'd) file buffer.
-// That skips two heap strings per row — the dominant cost of the
-// materialized path once parsing itself is cheap. The aggregate keeps
-// exactly what build_training_point consumes (capture-ordered RSSI
-// samples per AP, scan transition count, final location), so the
-// resulting database is byte-identical to load_collection +
-// generate_database; the ingest round-trip tests pin that.
-
-struct FileAggregate {
-  // Owns the mapped bytes the bucket keys point into (null for
-  // archive members, whose bytes the archive owns).
-  std::unique_ptr<wiscan::FileBuffer> buffer;
-  std::string location;
-  BucketTable<double> table;
-  std::size_t scans = 0;
-};
-
-class SampleAggregator final : public wiscan::WiScanRowSink {
- public:
-  explicit SampleAggregator(std::string fallback_location) {
-    result_.location = std::move(fallback_location);
-  }
-
-  void on_location(std::string_view location) override {
-    result_.location.assign(location);
-  }
-  void on_row(const wiscan::WiScanRow& row) override {
-    // Same transition count as WiScanFile::scan_count().
-    if (first_ || row.timestamp_s != last_time_) {
-      ++result_.scans;
-      last_time_ = row.timestamp_s;
-      first_ = false;
-    }
-    result_.table.add(row.bssid, row.rssi_dbm);
-  }
-
-  FileAggregate take() { return std::move(result_); }
-
- private:
-  FileAggregate result_;
-  double last_time_ = -1.0;
-  bool first_ = true;
-};
-
-FileAggregate aggregate_buffer(std::string_view text,
-                               std::string fallback_location) {
-  SampleAggregator aggregator(std::move(fallback_location));
-  wiscan::scan_wiscan_buffer(text, aggregator);
-  return aggregator.take();
-}
-
-// Identical arithmetic to build_training_point, fed from sample
-// buckets instead of entry pointers.
-TrainingPoint point_from_aggregate(const FileAggregate& aggregate,
-                                   geom::Vec2 position,
-                                   const GeneratorConfig& config,
-                                   std::size_t* dropped_pairs) {
-  TrainingPoint point;
-  point.location = aggregate.location;
-  point.position = position;
-  for (const auto& bucket : aggregate.table.buckets) {
-    const std::size_t group_size = bucket.rows.size();
-    if (group_size < config.min_samples_per_ap) {
-      if (dropped_pairs) ++*dropped_pairs;
-      continue;
-    }
-    stats::RunningStats rs;
-    for (const double rssi : bucket.rows) rs.add(rssi);
-
-    ApStatistics ap;
-    ap.bssid = bucket.bssid;
-    ap.mean_dbm = rs.mean();
-    ap.stddev_db = rs.stddev();
-    ap.sample_count = static_cast<std::uint32_t>(group_size);
-    ap.scan_count = static_cast<std::uint32_t>(aggregate.scans);
-    ap.min_dbm = rs.min();
-    ap.max_dbm = rs.max();
-    if (config.keep_samples) {
-      ap.samples_centi_dbm.reserve(group_size);
-      for (const double rssi : bucket.rows) {
-        ap.samples_centi_dbm.push_back(
-            static_cast<std::int32_t>(std::lround(rssi * 100.0)));
-      }
-    }
-    point.per_ap.push_back(std::move(ap));
-  }
-  return point;
-}
-
-bool has_wiscan_extension_name(const std::string& name) {
-  static constexpr std::string_view kExt = ".wiscan";
-  return name.size() > kExt.size() &&
-         name.compare(name.size() - kExt.size(), kExt.size(), kExt) == 0;
-}
-
-// Aggregates `count` sources into index-aligned slots, serially or
-// chunked across `pool` — the same deterministic-slot scheme
-// load_collection uses, so parallel output cannot differ from serial.
-template <typename AggregateItem>
-std::vector<FileAggregate> aggregate_work_list(
-    std::size_t count, concurrency::ThreadPool* pool,
-    const AggregateItem& aggregate_item) {
-  std::vector<FileAggregate> aggregates(count);
-  if (pool != nullptr && count > 1) {
-    concurrency::parallel_for(*pool, 0, count, [&](std::size_t i) {
-      aggregates[i] = aggregate_item(i);
-    });
-  } else {
-    for (std::size_t i = 0; i < count; ++i) {
-      aggregates[i] = aggregate_item(i);
-    }
-  }
-  return aggregates;
-}
-
-}  // namespace
-
 TrainingDatabase generate_database_from_path(
     const std::filesystem::path& collection_source,
     const std::filesystem::path& location_map_file,
     const GeneratorConfig& config, GeneratorReport* report,
     concurrency::ThreadPool* pool) {
   metrics::ScopedTimer timer(generate_seconds_histogram());
-  // Must outlive the aggregates: archive-member bucket keys view its
-  // bytes.
-  std::optional<wiscan::Archive> archive;
-  std::vector<FileAggregate> aggregates;
-  // Per-work-list-index failure slots (quarantine mode only): workers
-  // record errors under their own index so scheduling cannot reorder
-  // the diagnostics, and failed slots are dropped before the sort —
-  // exactly the pipeline a clean run over the surviving files sees.
-  std::vector<std::optional<Error>> failed;
-  std::vector<std::string> sources;
-
-  if (std::filesystem::is_directory(collection_source)) {
-    std::vector<std::filesystem::path> work;
-    for (const auto& entry :
-         std::filesystem::recursive_directory_iterator(collection_source)) {
-      if (!entry.is_regular_file()) continue;
-      if (!has_wiscan_extension_name(entry.path().filename().string())) {
-        continue;
-      }
-      work.push_back(entry.path());
+  wiscan::LoadReport load_report;
+  const wiscan::Collection collection = wiscan::load_collection(
+      collection_source, pool,
+      config.quarantine_corrupt_files ? &load_report : nullptr);
+  if (report) {
+    for (wiscan::QuarantinedFile& q : load_report.quarantined) {
+      report->quarantined.push_back(std::move(q));
     }
-    // Directory iteration order is filesystem-dependent; sort so the
-    // work list (and therefore the output) is stable.
-    std::sort(work.begin(), work.end());
-
-    failed.resize(work.size());
-    sources.reserve(work.size());
-    for (const auto& p : work) sources.push_back(p.string());
-    aggregates = aggregate_work_list(work.size(), pool, [&](std::size_t i) {
-      try {
-        auto buffer = std::make_unique<wiscan::FileBuffer>(work[i]);
-        FileAggregate aggregate = aggregate_buffer(
-            buffer->view(),
-            wiscan::sanitize_location_name(work[i].stem().string()));
-        aggregate.buffer = std::move(buffer);
-        return aggregate;
-      } catch (const wiscan::BufferError& e) {
-        if (config.quarantine_corrupt_files) {
-          failed[i] = Error(ErrorCode::kIo, e.what())
-                          .with_context("reading '" + sources[i] + "'");
-          return FileAggregate{};
-        }
-        throw wiscan::FormatError("load_collection: " +
-                                  std::string(e.what()));
-      } catch (const wiscan::FormatError& e) {
-        if (config.quarantine_corrupt_files) {
-          failed[i] = Error(ErrorCode::kParse, e.what())
-                          .with_context("parsing '" + sources[i] + "'");
-          return FileAggregate{};
-        }
-        throw;
-      }
-    });
-  } else if (std::filesystem::is_regular_file(collection_source) &&
-             collection_source.extension() == ".lar") {
-    archive.emplace(wiscan::Archive::read(collection_source));
-    std::vector<const std::pair<const std::string, std::string>*> work;
-    for (const auto& entry : archive->entries()) {
-      if (has_wiscan_extension_name(entry.first)) work.push_back(&entry);
-    }
-    failed.resize(work.size());
-    sources.reserve(work.size());
-    for (const auto* entry : work) sources.push_back(entry->first);
-    aggregates = aggregate_work_list(work.size(), pool, [&](std::size_t i) {
-      const auto& [name, bytes] = *work[i];
-      try {
-        return aggregate_buffer(
-            bytes, wiscan::sanitize_location_name(
-                       std::filesystem::path(name).stem().string()));
-      } catch (const wiscan::FormatError& e) {
-        if (config.quarantine_corrupt_files) {
-          failed[i] =
-              Error(ErrorCode::kParse, e.what())
-                  .with_context("parsing archive entry '" + name + "'");
-          return FileAggregate{};
-        }
-        throw;
-      }
-    });
-  } else {
-    throw wiscan::FormatError("load_collection: '" +
-                              collection_source.string() +
-                              "' is neither a directory nor a .lar archive");
   }
-
-  // Drop quarantined slots (work-list order) before any downstream
-  // step observes the aggregates.
-  if (config.quarantine_corrupt_files) {
-    std::vector<FileAggregate> kept;
-    kept.reserve(aggregates.size());
-    for (std::size_t i = 0; i < aggregates.size(); ++i) {
-      if (failed[i]) {
-        if (report) {
-          report->quarantined.push_back(
-              {sources[i], std::move(*failed[i])});
-        }
-      } else {
-        kept.push_back(std::move(aggregates[i]));
-      }
-    }
-    aggregates = std::move(kept);
-  }
-
-  // Read after the collection so error precedence matches the old
-  // load_collection-then-map sequence.
+  // Read after the collection, so a bad source is reported first.
   const wiscan::LocationMap map =
       wiscan::LocationMap::read(location_map_file);
-
-  // Same order as load_collection: by location, work-list index ties.
-  std::stable_sort(aggregates.begin(), aggregates.end(),
-                   [](const FileAggregate& a, const FileAggregate& b) {
-                     return a.location < b.location;
-                   });
-
-  std::vector<TrainingPoint> built;
-  built.reserve(aggregates.size());
-  std::size_t dropped = 0;
-  for (const FileAggregate& aggregate : aggregates) {
-    const auto position = map.find(aggregate.location);
-    if (position) {
-      built.push_back(
-          point_from_aggregate(aggregate, *position, config, &dropped));
-    } else if (report) {
-      report->unmapped_locations.push_back(aggregate.location);
-    }
-  }
-  if (report) {
-    for (const wiscan::NamedLocation& loc : map.locations()) {
-      const bool surveyed = std::any_of(
-          aggregates.begin(), aggregates.end(),
-          [&](const FileAggregate& a) { return a.location == loc.name; });
-      if (!surveyed) report->unsurveyed_locations.push_back(loc.name);
-    }
-  }
-  generate_files_counter().add(aggregates.size());
-  generate_quarantined_counter().add(failed.size() - aggregates.size());
-  generate_points_counter().add(built.size());
-  return assemble(config, std::move(built), dropped, report);
+  TrainingDatabase db =
+      pool != nullptr
+          ? generate_database_parallel(collection, map, *pool, config, report)
+          : generate_database(collection, map, config, report);
+  generate_files_counter().add(collection.files.size());
+  generate_quarantined_counter().add(load_report.quarantined.size());
+  generate_points_counter().add(db.size());
+  return db;
 }
 
 Result<TrainingDatabase> try_generate_database_from_path(

@@ -7,9 +7,12 @@
 /// plus a location map. Output: a `TrainingDatabase` whose rows carry
 /// the per-<training point, AP> mean and standard deviation of §5.1.
 /// Locations present in only one of the two inputs are reported in
-/// `GeneratorReport` rather than silently dropped. Generation is
-/// embarrassingly parallel across locations, so the builder can fan
-/// out on a `ThreadPool` (the serial path is kept for the PERF bench).
+/// `GeneratorReport` rather than silently dropped. Every entry point
+/// runs one core: `build_training_point` over each file of a loaded
+/// `Collection`, then one `TrainingDatabase::from_points`. The path
+/// form is `load_collection` + `generate_database`; generation is
+/// embarrassingly parallel across locations, so generation can also
+/// fan out on a `ThreadPool`.
 
 #include <filesystem>
 #include <string>
@@ -72,11 +75,10 @@ TrainingDatabase generate_database_parallel(
 
 /// End-to-end convenience mirroring the paper's CLI contract: a
 /// string naming either a wi-scan directory or a `.lar` archive, plus
-/// a location-map file. This path streams rows straight into
-/// per-BSSID sample buckets (no intermediate Collection), producing a
-/// database byte-identical to `generate_database(load_collection(...))`.
-/// With `pool`, per-file aggregation fans out across its workers into
-/// index-aligned slots; the result is byte-identical to the serial
+/// a location-map file. Exactly `load_collection` (which feeds the
+/// `ingest.*` metrics) followed by `generate_database`; with `pool`,
+/// both the file parses and the per-location aggregation fan out
+/// across its workers, and the result is byte-identical to the serial
 /// path.
 TrainingDatabase generate_database_from_path(
     const std::filesystem::path& collection_source,
@@ -97,7 +99,10 @@ Result<TrainingDatabase> try_generate_database_from_path(
     concurrency::ThreadPool* pool = nullptr);
 
 /// Aggregates one wi-scan file into one training point (exposed for
-/// tests). `position` is the surveyed world position.
+/// tests). `position` is the surveyed world position. Readings are
+/// grouped by counting-sorting the rows on their BSSID id, so each
+/// AP's Welford pass sees its readings in capture order; APs come out
+/// in ascending BSSID order.
 TrainingPoint build_training_point(const wiscan::WiScanFile& file,
                                    geom::Vec2 position,
                                    const GeneratorConfig& config,

@@ -41,7 +41,7 @@ std::string_view get_bytes(std::string_view in, std::size_t& pos,
 }
 
 // Drains an already-open stream (compatibility adapter; the path
-// overload goes through FileBuffer).
+// overload goes through read_file_bytes).
 std::string slurp(std::istream& is) {
   std::string text;
   char chunk[4096];
@@ -142,8 +142,7 @@ Archive Archive::read(std::istream& is) { return read_bytes(slurp(is)); }
 
 Archive Archive::read(const std::filesystem::path& file) {
   try {
-    const FileBuffer buffer(file);
-    return read_bytes(buffer.view());
+    return read_bytes(read_file_bytes(file));
   } catch (const BufferError& e) {
     throw ArchiveError("archive: " + std::string(e.what()));
   }

@@ -51,10 +51,10 @@ class Archive {
     return entries_;
   }
 
-  /// Serialization. The file overload maps the archive read-only and
-  /// parses entries straight out of the buffer (one copy per entry,
-  /// into the owning map); the istream overload is a compatibility
-  /// adapter that drains the stream first.
+  /// Serialization. The file overload reads the archive in one
+  /// `read_file_bytes` and parses entries straight out of that buffer
+  /// (one copy per entry, into the owning map); the istream overload
+  /// is a compatibility adapter that drains the stream first.
   void write(std::ostream& os) const;
   void write(const std::filesystem::path& file) const;
   static Archive read(std::istream& is);

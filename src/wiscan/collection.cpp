@@ -58,7 +58,7 @@ const WiScanFile* Collection::find(const std::string& location) const {
 
 std::size_t Collection::total_entries() const {
   std::size_t n = 0;
-  for (const WiScanFile& f : files) n += f.entries.size();
+  for (const WiScanFile& f : files) n += f.size();
   return n;
 }
 
@@ -177,29 +177,24 @@ Collection load_collection(const std::filesystem::path& source,
   if (std::filesystem::is_directory(source)) {
     metrics::ScopedTimer timer(load_seconds_histogram());
     std::vector<std::filesystem::path> work;
-    std::uint64_t bytes = 0;
     for (const auto& entry :
          std::filesystem::recursive_directory_iterator(source)) {
       if (!entry.is_regular_file()) continue;
       if (!has_wiscan_extension(entry.path().filename().string())) continue;
       work.push_back(entry.path());
-      std::error_code ec;
-      const auto size = std::filesystem::file_size(entry.path(), ec);
-      if (!ec) bytes += size;
     }
     // Directory iteration order is filesystem-dependent; sort so the
     // work list (and therefore the loaded collection) is stable.
     std::sort(work.begin(), work.end());
 
-    const auto parse = [&](std::size_t i) {
-      try {
-        const FileBuffer buffer(work[i]);
-        return parse_wiscan_buffer(
-            buffer.view(),
-            sanitize_location_name(work[i].stem().string()));
-      } catch (const BufferError& e) {
-        throw FormatError("load_collection: " + std::string(e.what()));
-      }
+    // What each successful read returned, one slot per work item so
+    // pool workers never share a counter; a failed read adds nothing.
+    std::vector<std::uint64_t> read_bytes(work.size(), 0);
+    const auto read_and_parse = [&](std::size_t i) {
+      const std::string bytes = read_file_bytes(work[i]);
+      read_bytes[i] = bytes.size();
+      return parse_wiscan_buffer(
+          bytes, sanitize_location_name(work[i].stem().string()));
     };
     Collection c;
     if (report != nullptr) {
@@ -207,10 +202,7 @@ Collection load_collection(const std::filesystem::path& source,
           work.size(), pool,
           [&](std::size_t i) -> Result<WiScanFile> {
             try {
-              const FileBuffer buffer(work[i]);
-              return parse_wiscan_buffer(
-                  buffer.view(),
-                  sanitize_location_name(work[i].stem().string()));
+              return read_and_parse(i);
             } catch (const BufferError& e) {
               return Error(ErrorCode::kIo, e.what())
                   .with_context("reading '" + work[i].string() + "'");
@@ -221,9 +213,17 @@ Collection load_collection(const std::filesystem::path& source,
           },
           [&](std::size_t i) { return work[i].string(); }, *report);
     } else {
-      c.files = parse_work_list(work.size(), pool, parse);
+      c.files = parse_work_list(work.size(), pool, [&](std::size_t i) {
+        try {
+          return read_and_parse(i);
+        } catch (const BufferError& e) {
+          throw FormatError("load_collection: " + std::string(e.what()));
+        }
+      });
     }
     sort_collection(c);
+    std::uint64_t bytes = 0;
+    for (const std::uint64_t n : read_bytes) bytes += n;
     record_load(work.size(), c.files.size(), bytes, timer.elapsed_s());
     return c;
   }

@@ -16,7 +16,7 @@ void require(bool ok, const std::string& what) {
 
 // Drains an already-open stream into one string (the istream entry
 // points are compatibility adapters; the path overloads go through
-// FileBuffer and never touch a stream).
+// read_file_bytes and never touch a stream).
 std::string slurp(std::istream& is) {
   std::string text;
   char chunk[4096];
@@ -31,12 +31,13 @@ std::string slurp(std::istream& is) {
 void write_wiscan(std::ostream& os, const WiScanFile& file) {
   os << "# wi-scan v1\n";
   if (!file.location.empty()) os << "# location: " << file.location << '\n';
-  os << "# rows: " << file.entries.size() << '\n';
-  for (const WiScanEntry& e : file.entries) {
-    os << "time=" << e.timestamp_s << " bssid=" << e.bssid;
-    if (!e.ssid.empty()) os << " ssid=" << e.ssid;
-    if (e.channel != 0) os << " channel=" << e.channel;
-    os << " rssi=" << e.rssi_dbm << '\n';
+  os << "# rows: " << file.size() << '\n';
+  for (const WiScanRow& row : file.rows()) {
+    os << "time=" << row.timestamp_s << " bssid=" << file.bssids()[row.bssid];
+    const std::string& ssid = file.ssids()[row.ssid];
+    if (!ssid.empty()) os << " ssid=" << ssid;
+    if (row.channel != 0) os << " channel=" << row.channel;
+    os << " rssi=" << row.rssi_dbm << '\n';
   }
 }
 
@@ -54,9 +55,8 @@ WiScanFile read_wiscan(std::istream& is,
 
 WiScanFile read_wiscan(const std::filesystem::path& path) {
   try {
-    const FileBuffer buffer(path);
-    return parse_wiscan_buffer(
-        buffer.view(), sanitize_location_name(path.stem().string()));
+    return parse_wiscan_buffer(read_file_bytes(path),
+                               sanitize_location_name(path.stem().string()));
   } catch (const BufferError& e) {
     throw FormatError("read_wiscan: " + std::string(e.what()));
   }

@@ -31,7 +31,7 @@ void write_name(std::ostream& os, const std::string& name) {
 }
 
 // Drains an already-open stream (compatibility adapter; the path
-// overload goes through FileBuffer).
+// overload goes through read_file_bytes).
 std::string slurp(std::istream& is) {
   std::string text;
   char chunk[4096];
@@ -105,8 +105,7 @@ LocationMap LocationMap::read(std::istream& is) {
 
 LocationMap LocationMap::read(const std::filesystem::path& path) {
   try {
-    const FileBuffer buffer(path);
-    return parse_location_map_buffer(buffer.view());
+    return parse_location_map_buffer(read_file_bytes(path));
   } catch (const BufferError& e) {
     throw LocationMapError("location-map: " + std::string(e.what()));
   }

@@ -1,89 +1,66 @@
 #include "wiscan/scan_buffer.hpp"
 
+#include <cerrno>
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
+#include <vector>
 
 #include "base/fault_injector.hpp"
+#include "base/string_hash.hpp"
 #include "wiscan/format.hpp"
 
-#if defined(__unix__) || (defined(__APPLE__) && defined(__MACH__))
-#define LOCTK_HAVE_MMAP 1
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
 
 namespace loctk::wiscan {
+
+namespace {
+
+// Closes a descriptor on every exit path of read_file_bytes.
+struct FdCloser {
+  int fd;
+  ~FdCloser() { ::close(fd); }
+};
+
+// read() until `size` bytes have landed in `out` or the file ends
+// early; returns the byte count read.
+std::size_t read_fully(int fd, char* out, std::size_t size) {
+  std::size_t got = 0;
+  while (got < size) {
+    const ssize_t n = ::read(fd, out + got, size - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    got += static_cast<std::size_t>(n);
+  }
+  return got;
+}
+
+}  // namespace
 
 std::string read_file_bytes(const std::filesystem::path& path) {
   if (FaultInjector::instance().should_fail_io()) {
     throw BufferError("read_file_bytes: injected I/O failure on " +
                       path.string());
   }
-  std::ifstream is(path, std::ios::binary);
-  if (!is.good()) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
     throw BufferError("read_file_bytes: cannot open " + path.string());
   }
-  is.seekg(0, std::ios::end);
-  const std::streamoff end = is.tellg();
-  if (end < 0) {
-    throw BufferError("read_file_bytes: cannot size " + path.string());
+  const FdCloser closer{fd};
+  struct stat st{};
+  if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
+    throw BufferError("read_file_bytes: not a regular file: " +
+                      path.string());
   }
-  std::string bytes;
-  bytes.resize(static_cast<std::size_t>(end));
-  is.seekg(0, std::ios::beg);
-  is.read(bytes.data(), end);
-  if (static_cast<std::streamoff>(is.gcount()) != end) {
+  std::string bytes(static_cast<std::size_t>(st.st_size), '\0');
+  if (read_fully(fd, bytes.data(), bytes.size()) != bytes.size()) {
     throw BufferError("read_file_bytes: short read on " + path.string());
   }
   FaultInjector::instance().corrupt(bytes);
   return bytes;
-}
-
-FileBuffer::FileBuffer(const std::filesystem::path& path) {
-#if LOCTK_HAVE_MMAP
-  // Injection needs mutable bytes (truncation, bit flips) and a veto
-  // point; a read-only shared mapping offers neither, so an armed
-  // injector routes every buffer through the heap path.
-  if (FaultInjector::instance().armed()) {
-    heap_ = read_file_bytes(path);
-    return;
-  }
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    throw BufferError("FileBuffer: cannot open " + path.string());
-  }
-  struct stat st{};
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    throw BufferError("FileBuffer: cannot stat " + path.string());
-  }
-  // Regular non-empty files are mapped; everything else (empty files,
-  // pipes) goes through the heap path below.
-  if (S_ISREG(st.st_mode) && st.st_size > 0) {
-    void* p = ::mmap(nullptr, static_cast<std::size_t>(st.st_size),
-                     PROT_READ, MAP_PRIVATE, fd, 0);
-    ::close(fd);
-    if (p == MAP_FAILED) {
-      throw BufferError("FileBuffer: mmap failed for " + path.string());
-    }
-    map_ = p;
-    size_ = static_cast<std::size_t>(st.st_size);
-    return;
-  }
-  ::close(fd);
-#endif
-  heap_ = read_file_bytes(path);
-}
-
-FileBuffer::~FileBuffer() {
-#if LOCTK_HAVE_MMAP
-  if (map_ != nullptr) ::munmap(map_, size_);
-#endif
 }
 
 namespace {
@@ -217,14 +194,8 @@ double require_number(std::string_view text, const char* what,
   return *v;
 }
 
-// Fast path for the canonical row shape the toolkit's own writer
-// emits: `time=T bssid=B [ssid=S] [channel=C] rssi=R`, keys in that
-// order. Matching the expected key directly skips the per-token
-// dispatch chain of the generic loop. Returns false — with no fields
-// committed — whenever the row deviates (reordered or unknown keys,
-// extra whitespace, malformed numbers), and the generic loop re-parses
-// the line from scratch so diagnostics are identical either way.
-struct CanonicalRow {
+// One row's fields; the strings are views into its line.
+struct RowFields {
   std::string_view bssid;
   std::string_view ssid;
   double timestamp_s = 0.0;
@@ -233,7 +204,15 @@ struct CanonicalRow {
   bool has_time = false;
 };
 
-bool parse_canonical_row(std::string_view line, CanonicalRow& row,
+// Fast path for the canonical row shape the toolkit's own writer
+// emits: `time=T bssid=B [ssid=S] [channel=C] rssi=R`, keys in that
+// order. Matching the expected key directly skips the per-token
+// dispatch chain of the generic loop. Returns false — with no fields
+// committed — whenever the row deviates (reordered or unknown keys,
+// extra whitespace, malformed numbers, empty values), and the generic
+// loop re-parses the whole line so diagnostics are identical
+// either way.
+bool parse_canonical_row(std::string_view line, RowFields& row,
                          std::string_view& cached_time_token,
                          double& cached_time_value) {
   std::size_t pos = 0;
@@ -284,7 +263,124 @@ bool parse_canonical_row(std::string_view line, CanonicalRow& row,
 
 }  // namespace
 
-void scan_wiscan_buffer(std::string_view text, WiScanRowSink& sink) {
+// Builds the WiScanFile of one parse. BSSIDs and SSIDs are interned
+// through flat open-addressed tables keyed by `bssid_hash`; each table
+// first tries the id that followed the previous row's string last
+// time, because scan passes list their APs in a stable order, so that
+// one compare usually replaces the hash probe.
+class WiScanInterner {
+ public:
+  explicit WiScanInterner(WiScanFile& file)
+      : file_(file), bssids_(file.bssids_), ssids_(file.ssids_) {}
+
+  void reserve(std::size_t rows) { file_.rows_.reserve(rows); }
+
+  void add(double timestamp_s, std::string_view bssid, std::string_view ssid,
+           int channel, double rssi_dbm) {
+    file_.rows_.push_back({timestamp_s, rssi_dbm, bssids_.intern(bssid),
+                           ssids_.intern(ssid), channel});
+  }
+
+ private:
+  class Table {
+   public:
+    explicit Table(std::vector<std::string>& strings) : strings_(strings) {}
+
+    std::uint32_t intern(std::string_view key) {
+      std::uint32_t id = kNone;
+      if (last_ != kNone) {
+        const std::uint32_t guess = next_[last_];
+        if (guess != kNone && strings_[guess] == key) id = guess;
+      }
+      if (id == kNone) {
+        id = find_or_insert(key);
+        if (last_ != kNone) next_[last_] = id;
+      }
+      last_ = id;
+      return id;
+    }
+
+   private:
+    static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
+    struct Cell {
+      std::uint32_t tag = 0;
+      std::uint32_t id = kNone;
+    };
+
+    std::uint32_t find_or_insert(std::string_view key) {
+      // At most half full, so every probe ends at an empty cell.
+      if (2 * (strings_.size() + 1) > cells_.size()) grow();
+      const std::uint64_t h = bssid_hash(key);
+      const auto tag = static_cast<std::uint32_t>(h >> 32);
+      const std::size_t mask = cells_.size() - 1;
+      std::size_t cell = h & mask;
+      for (; cells_[cell].id != kNone; cell = (cell + 1) & mask) {
+        if (cells_[cell].tag == tag && strings_[cells_[cell].id] == key) {
+          return cells_[cell].id;
+        }
+      }
+      const auto id = static_cast<std::uint32_t>(strings_.size());
+      cells_[cell] = {tag, id};
+      strings_.emplace_back(key);
+      hashes_.push_back(h);
+      next_.push_back(kNone);
+      return id;
+    }
+
+    void grow() {
+      std::vector<Cell> cells(std::max<std::size_t>(64, 2 * cells_.size()));
+      const std::size_t mask = cells.size() - 1;
+      for (std::size_t id = 0; id < hashes_.size(); ++id) {
+        std::size_t cell = hashes_[id] & mask;
+        while (cells[cell].id != kNone) cell = (cell + 1) & mask;
+        cells[cell] = {static_cast<std::uint32_t>(hashes_[id] >> 32),
+                       static_cast<std::uint32_t>(id)};
+      }
+      cells_ = std::move(cells);
+    }
+
+    std::vector<std::string>& strings_;  // the file's table
+    std::vector<Cell> cells_;
+    std::vector<std::uint64_t> hashes_;  // per id, for regrowth
+    std::vector<std::uint32_t> next_;    // per id: the id that followed it
+    std::uint32_t last_ = kNone;
+  };
+
+  WiScanFile& file_;
+  Table bssids_;
+  Table ssids_;
+};
+
+namespace {
+
+// Upper bound on the rows of `text`, for one up-front reserve: one
+// row per line at most, and no row is shorter than `bssid=a rssi=1`
+// (14 bytes, 15 with its newline), so a file of blank lines cannot
+// reserve more rows than a file of the shortest rows would hold.
+// memchr, not std::count: the libc scanner runs at memory bandwidth.
+std::size_t row_upper_bound(std::string_view text) {
+  constexpr std::size_t kShortestRow = 14;
+  std::size_t lines = 1;
+  const char* cursor = text.data();
+  const char* const text_end = cursor + text.size();
+  while (cursor < text_end) {
+    const void* nl = std::memchr(
+        cursor, '\n', static_cast<std::size_t>(text_end - cursor));
+    if (nl == nullptr) break;
+    ++lines;
+    cursor = static_cast<const char*>(nl) + 1;
+  }
+  return std::min(lines, text.size() / kShortestRow + 1);
+}
+
+}  // namespace
+
+WiScanFile parse_wiscan_buffer(std::string_view text,
+                               std::string_view fallback_location) {
+  WiScanFile file;
+  file.location = fallback_location;
+  WiScanInterner rows(file);
+  rows.reserve(row_upper_bound(text));
   LineScanner lines(text);
   double last_time = 0.0;
   // Every row of one scan pass carries the same time= token; remember
@@ -309,27 +405,23 @@ void scan_wiscan_buffer(std::string_view text, WiScanRowSink& sink) {
       const auto tag = line.find(kLocTag);
       if (tag != std::string_view::npos) {
         const std::string_view loc = trim(line.substr(tag + kLocTag.size()));
-        if (!loc.empty()) sink.on_location(loc);
+        if (!loc.empty()) file.location = loc;
       }
       continue;
     }
 
-    WiScanRow out;
-    out.timestamp_s = last_time;
-
-    CanonicalRow row;
+    RowFields row;
     if (first_nonspace == 0 &&
         parse_canonical_row(line, row, cached_time_token,
                             cached_time_value)) {
-      out.bssid = row.bssid;
-      out.ssid = row.ssid;
-      out.channel = row.channel;
-      out.rssi_dbm = row.rssi_dbm;
-      if (row.has_time) out.timestamp_s = row.timestamp_s;
-      last_time = out.timestamp_s;
-      sink.on_row(out);
+      if (row.has_time) last_time = row.timestamp_s;
+      rows.add(last_time, row.bssid, row.ssid, row.channel, row.rssi_dbm);
       continue;
     }
+
+    // Rows without a time= key inherit the previous row's timestamp.
+    RowFields out;
+    out.timestamp_s = last_time;
 
     bool have_bssid = false;
     bool have_rssi = false;
@@ -385,58 +477,18 @@ void scan_wiscan_buffer(std::string_view text, WiScanRowSink& sink) {
       throw FormatError("read_wiscan: line " + std::to_string(line_no) +
                         ": missing bssid");
     }
+    if (out.bssid.empty()) {
+      throw FormatError("read_wiscan: line " + std::to_string(line_no) +
+                        ": empty bssid");
+    }
     if (!have_rssi) {
       throw FormatError("read_wiscan: line " + std::to_string(line_no) +
                         ": missing rssi");
     }
     last_time = out.timestamp_s;
-    sink.on_row(out);
+    rows.add(out.timestamp_s, out.bssid, out.ssid, out.channel, out.rssi_dbm);
   }
-}
-
-namespace {
-
-// Materializes rows into a WiScanFile — the adapter that keeps
-// parse_wiscan_buffer (and the istream entry points built on it)
-// behaving exactly as before the push-parser refactor.
-struct FileSink final : WiScanRowSink {
-  WiScanFile file;
-
-  void on_location(std::string_view location) override {
-    file.location = location;
-  }
-  void on_row(const WiScanRow& row) override {
-    WiScanEntry& entry = file.entries.emplace_back();
-    entry.timestamp_s = row.timestamp_s;
-    entry.bssid = row.bssid;
-    entry.ssid = row.ssid;
-    entry.channel = row.channel;
-    entry.rssi_dbm = row.rssi_dbm;
-  }
-};
-
-}  // namespace
-
-WiScanFile parse_wiscan_buffer(std::string_view text,
-                               std::string_view fallback_location) {
-  FileSink sink;
-  sink.file.location = fallback_location;
-  // Nearly every line is one entry; one up-front count avoids the
-  // reallocation churn of growing a vector of string-bearing structs.
-  // memchr, not std::count: the libc scanner runs at memory bandwidth.
-  std::size_t line_upper_bound = 1;
-  const char* cursor = text.data();
-  const char* const text_end = cursor + text.size();
-  while (cursor < text_end) {
-    const void* nl = std::memchr(
-        cursor, '\n', static_cast<std::size_t>(text_end - cursor));
-    if (nl == nullptr) break;
-    ++line_upper_bound;
-    cursor = static_cast<const char*>(nl) + 1;
-  }
-  sink.file.entries.reserve(line_upper_bound);
-  scan_wiscan_buffer(text, sink);
-  return std::move(sink.file);
+  return file;
 }
 
 namespace {

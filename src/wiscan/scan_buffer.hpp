@@ -1,20 +1,20 @@
 #pragma once
 
 /// \file scan_buffer.hpp
-/// Zero-copy ingest substrate: whole-file buffers and string_view
-/// parsers.
+/// Ingest substrate: whole-file reads and string_view parsers.
 ///
 /// The seed toolkit read every wi-scan file through `std::getline` +
 /// `istringstream` token loops — one stream construction and several
 /// heap allocations per row. At survey scale (the paper's 28 files)
-/// that is invisible; at the ROADMAP's corpus scale it dominates
-/// training-database builds. This layer loads each file into memory
-/// exactly once (mmap where available, a single resize+read
-/// otherwise) and parses by slicing `std::string_view`s with
-/// `std::from_chars` — no streams, no per-token allocations. The
-/// istream entry points in format.hpp / location_map.hpp /
-/// archive.hpp remain as thin adapters over these parsers, so the
-/// text and binary formats are unchanged byte for byte.
+/// that is invisible; at campus scale it dominates every cold start.
+/// This layer reads each file into memory with one `read()` and parses
+/// by slicing `std::string_view`s: numbers through a fixed-decimal
+/// fast path (`std::from_chars` otherwise), BSSIDs and SSIDs interned
+/// once per file through a flat hash table, rows stored as 32-byte
+/// id records. The istream entry points in format.hpp /
+/// location_map.hpp / archive.hpp remain as thin adapters over these
+/// parsers, so the text and binary formats are unchanged byte for
+/// byte.
 
 #include <cstddef>
 #include <filesystem>
@@ -29,7 +29,7 @@
 
 namespace loctk::wiscan {
 
-/// I/O failure while buffering a file (open/stat/read/map). Callers
+/// I/O failure while reading a file (open/stat/read). Callers
 /// that promise their own error taxonomy (FormatError, ArchiveError,
 /// CodecError) catch this and rethrow.
 class BufferError : public std::runtime_error {
@@ -37,35 +37,11 @@ class BufferError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Reads a whole file into one string with a single allocation:
-/// seek to end, `resize`, one `read`. Replaces the
-/// `ostringstream << rdbuf()` double-copy idiom. Throws BufferError.
+/// Reads a whole file into one string: `fstat` for the size, then
+/// `read()` straight into the string's buffer. Every file reader in
+/// the toolkit goes through here, so it is also the fault injector's
+/// veto and corruption point. Throws BufferError.
 std::string read_file_bytes(const std::filesystem::path& path);
-
-/// Read-only view of a whole file. On POSIX the file is mmap'd
-/// (read-only, private) so parsing large corpora touches pages on
-/// demand and never copies the bytes; elsewhere it falls back to
-/// `read_file_bytes`. The view is valid for the buffer's lifetime.
-class FileBuffer {
- public:
-  /// Throws BufferError when the file cannot be opened/mapped.
-  explicit FileBuffer(const std::filesystem::path& path);
-  ~FileBuffer();
-
-  FileBuffer(const FileBuffer&) = delete;
-  FileBuffer& operator=(const FileBuffer&) = delete;
-
-  std::string_view view() const {
-    return map_ ? std::string_view(static_cast<const char*>(map_), size_)
-                : std::string_view(heap_);
-  }
-  std::size_t size() const { return map_ ? size_ : heap_.size(); }
-
- private:
-  void* map_ = nullptr;  // non-null iff mmap'd
-  std::size_t size_ = 0;
-  std::string heap_;  // fallback storage
-};
 
 /// Parses a complete number (optional sign, decimal or scientific)
 /// from `text` via `std::from_chars`; the whole token must be
@@ -90,41 +66,12 @@ class LineScanner {
   std::size_t line_no_ = 0;
 };
 
-/// One parsed wi-scan row. The string fields are views into the
-/// scanned buffer — valid only while that buffer lives — so consumers
-/// that aggregate in place never pay a per-row allocation.
-struct WiScanRow {
-  std::string_view bssid;
-  std::string_view ssid;
-  double timestamp_s = 0.0;
-  double rssi_dbm = 0.0;
-  int channel = 0;
-};
-
-/// Receiver for `scan_wiscan_buffer`. The virtual dispatch costs a
-/// couple of ns per row; materializing a WiScanEntry costs an order
-/// of magnitude more, which is exactly what push-parsing avoids.
-class WiScanRowSink {
- public:
-  virtual ~WiScanRowSink() = default;
-  /// A non-empty `# location:` header comment (last one wins).
-  virtual void on_location(std::string_view location) = 0;
-  /// One data row, in file order. Rows without a time= key inherit
-  /// the previous row's timestamp, matching WiScanEntry semantics.
-  virtual void on_row(const WiScanRow& row) = 0;
-};
-
-/// Push-parses a wi-scan buffer into `sink`: same grammar, rules, and
-/// diagnostics as `parse_wiscan_buffer`, but rows are delivered as
-/// buffer views instead of being materialized, so callers such as the
-/// training-database generator can aggregate without building a
-/// WiScanFile first. Throws FormatError on malformed rows.
-void scan_wiscan_buffer(std::string_view text, WiScanRowSink& sink);
-
 /// Buffer-oriented wi-scan parser: same grammar, rules, and
-/// diagnostics as `read_wiscan`, driven by string_view slicing.
-/// Throws FormatError (declared in format.hpp) with line numbers on
-/// malformed rows.
+/// diagnostics as `read_wiscan`, driven by string_view slicing. Rows
+/// in the toolkit writer's canonical key order take a fast path; every
+/// other row goes through a generic key=value loop. Throws FormatError
+/// (declared in format.hpp) with line numbers on malformed rows,
+/// including a missing or empty `bssid`.
 WiScanFile parse_wiscan_buffer(std::string_view text,
                                std::string_view fallback_location = {});
 

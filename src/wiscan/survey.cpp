@@ -10,9 +10,9 @@ WiScanFile SurveyCampaign::survey_location(const NamedLocation& loc) {
   file.location = loc.name;
 
   if (config_.headings.empty()) {
-    file.entries = entries_from_scans(
-        scanner_->collect(loc.position, config_.scans_per_location),
-        config_.ssid);
+    append_scans(file,
+                 scanner_->collect(loc.position, config_.scans_per_location),
+                 config_.ssid);
     return file;
   }
 
@@ -26,10 +26,7 @@ WiScanFile SurveyCampaign::survey_location(const NamedLocation& loc) {
     scanner_->set_heading(heading);
     const int chunk = base + (remainder > 0 ? 1 : 0);
     if (remainder > 0) --remainder;
-    const auto chunk_entries = entries_from_scans(
-        scanner_->collect(loc.position, chunk), config_.ssid);
-    file.entries.insert(file.entries.end(), chunk_entries.begin(),
-                        chunk_entries.end());
+    append_scans(file, scanner_->collect(loc.position, chunk), config_.ssid);
   }
   return file;
 }

@@ -47,8 +47,9 @@ TEST(Observation, ApsSortedByBssid) {
 TEST(Observation, FromEntriesMatchesFromScans) {
   const auto scans = scripted_scans();
   const Observation from_scans = Observation::from_scans(scans);
-  const Observation from_entries =
-      Observation::from_entries(wiscan::entries_from_scans(scans));
+  wiscan::WiScanFile file;
+  wiscan::append_scans(file, scans);
+  const Observation from_entries = Observation::from_entries(file);
   EXPECT_EQ(from_scans.aps().size(), from_entries.aps().size());
   for (std::size_t i = 0; i < from_scans.aps().size(); ++i) {
     EXPECT_EQ(from_scans.aps()[i].bssid, from_entries.aps()[i].bssid);

@@ -1,5 +1,5 @@
 // Fault-injection hardening tests: the structured error taxonomy, the
-// FaultInjector hooks in the file-buffer layer, per-file quarantine in
+// FaultInjector hooks in read_file_bytes, per-file quarantine in
 // the batch ingest paths, degraded-mode localization, and randomized
 // corruption fuzzing through the try_* entry points. Everything here
 // runs under the ASan/UBSan CI job — the contract is "corrupt input
@@ -18,6 +18,7 @@
 
 #include "base/error.hpp"
 #include "base/fault_injector.hpp"
+#include "base/metrics.hpp"
 #include "concurrency/thread_pool.hpp"
 #include "core/geometric.hpp"
 #include "core/location_service.hpp"
@@ -140,7 +141,7 @@ TEST_F(FaultInjectorTest, CertainIoFailureVetoesEveryRead) {
   cfg.io_failure_probability = 1.0;
   ScopedFaultInjection scoped(cfg);
   EXPECT_THROW(wiscan::read_file_bytes(path_), wiscan::BufferError);
-  EXPECT_THROW(wiscan::FileBuffer buf(path_), wiscan::BufferError);
+  EXPECT_THROW(wiscan::read_wiscan(path_), wiscan::FormatError);
 
   const Result<std::string> r = wiscan::try_read_file_bytes(path_);
   ASSERT_FALSE(r.ok());
@@ -304,6 +305,40 @@ TEST_F(QuarantineTest, UnreadableFileQuarantinesAsIo) {
   for (const wiscan::QuarantinedFile& q : report.quarantined) {
     EXPECT_EQ(q.error.code(), ErrorCode::kIo) << q.error.to_string();
   }
+}
+
+// ingest.bytes_read counts what each read returned: a vetoed read adds
+// nothing, a clean load adds exactly the files' sizes.
+TEST_F(QuarantineTest, BytesReadCountsOnlySuccessfulReads) {
+  metrics::Counter& bytes_read = metrics::counter("ingest.bytes_read");
+  std::uint64_t corpus_bytes = 0;
+  for (int i = 0; i < kFiles; ++i) corpus_bytes += fs::file_size(file_path(i));
+
+  concurrency::ThreadPool pool(3);
+  for (concurrency::ThreadPool* p : {static_cast<concurrency::ThreadPool*>(
+                                         nullptr),
+                                     &pool}) {
+    {
+      FaultInjectorConfig cfg;
+      cfg.io_failure_probability = 1.0;
+      ScopedFaultInjection scoped(cfg);
+      wiscan::LoadReport report;
+      const std::uint64_t before = bytes_read.value();
+      const wiscan::Collection got =
+          wiscan::load_collection(dir_ / "corpus", p, &report);
+      EXPECT_TRUE(got.files.empty());
+      EXPECT_EQ(report.quarantined.size(), static_cast<std::size_t>(kFiles));
+      EXPECT_EQ(bytes_read.value() - before, 0u);
+    }
+    const std::uint64_t before = bytes_read.value();
+    const wiscan::Collection got = wiscan::load_collection(dir_ / "corpus", p);
+    EXPECT_EQ(got.files.size(), static_cast<std::size_t>(kFiles));
+    EXPECT_EQ(bytes_read.value() - before, corpus_bytes);
+  }
+  // The path-form generator reads through the same loader.
+  const std::uint64_t before = bytes_read.value();
+  traindb::generate_database_from_path(dir_ / "corpus", dir_ / "site.locmap");
+  EXPECT_EQ(bytes_read.value() - before, corpus_bytes);
 }
 
 TEST_F(QuarantineTest, ArchiveEntryQuarantine) {
@@ -495,7 +530,7 @@ TEST(FuzzStructuredErrors, MutatedWiscanTextAlwaysTyped) {
     const Result<wiscan::WiScanFile> r =
         wiscan::try_parse_wiscan_buffer(text, "fallback");
     if (r.ok()) {
-      EXPECT_LE(r.value().entries.size(), 80u);
+      EXPECT_LE(r.value().size(), 80u);
       ++parsed;
     } else {
       EXPECT_EQ(r.error().code(), ErrorCode::kParse)

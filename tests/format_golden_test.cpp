@@ -65,8 +65,8 @@ TEST(GoldenFormat, TrainingDatabaseV1Bytes) {
 TEST(GoldenFormat, WiscanTextShape) {
   wiscan::WiScanFile f;
   f.location = "kitchen";
-  f.entries = {{0.0, "aa", "net", 1, -54.0},
-               {1.5, "bb", "net", 6, -61.25}};
+  f.add({0.0, "aa", "net", 1, -54.0});
+  f.add({1.5, "bb", "net", 6, -61.25});
   const std::string expected =
       "# wi-scan v1\n"
       "# location: kitchen\n"

@@ -153,7 +153,7 @@ TEST(Fuzz, WiscanToleratesGarbageValuesButNotStructure) {
   // Absurd-but-parseable values are accepted (policy: the generator
   // filters, the parser does not editorialize)...
   const auto f = wiscan::decode_wiscan("bssid=x rssi=99999\n");
-  EXPECT_EQ(f.entries.size(), 1u);
+  EXPECT_EQ(f.size(), 1u);
   // ...while structural breakage throws.
   EXPECT_THROW(wiscan::decode_wiscan("bssid=x rssi=99999 extra\n"),
                wiscan::FormatError);

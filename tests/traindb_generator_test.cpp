@@ -11,16 +11,23 @@
 namespace loctk::traindb {
 namespace {
 
-wiscan::WiScanFile scripted_file(const std::string& location) {
+wiscan::WiScanFile scripted_file(const std::string& location,
+                                 double shift_db = 0.0) {
   // Two APs: "aa" heard every pass with values -50, -52, -54;
   // "bb" heard twice with -70, -72; "cc" heard once (to be dropped).
+  // Every reading is lowered by `shift_db`.
   wiscan::WiScanFile f;
   f.location = location;
-  f.entries = {
-      {0.0, "aa", "net", 1, -50.0}, {0.0, "bb", "net", 6, -70.0},
-      {1.0, "aa", "net", 1, -52.0}, {1.0, "bb", "net", 6, -72.0},
-      {2.0, "aa", "net", 1, -54.0}, {2.0, "cc", "net", 11, -90.0},
-  };
+  for (const wiscan::WiScanEntry& e : {
+           wiscan::WiScanEntry{0.0, "aa", "net", 1, -50.0},
+           wiscan::WiScanEntry{0.0, "bb", "net", 6, -70.0},
+           wiscan::WiScanEntry{1.0, "aa", "net", 1, -52.0},
+           wiscan::WiScanEntry{1.0, "bb", "net", 6, -72.0},
+           wiscan::WiScanEntry{2.0, "aa", "net", 1, -54.0},
+           wiscan::WiScanEntry{2.0, "cc", "net", 11, -90.0},
+       }) {
+    f.add({e.timestamp_s, e.bssid, e.ssid, e.channel, e.rssi_dbm - shift_db});
+  }
   return f;
 }
 
@@ -111,10 +118,8 @@ TEST(Generate, ParallelMatchesSerialExactly) {
   wiscan::LocationMap map;
   for (int i = 0; i < 24; ++i) {
     const std::string name = "p" + std::to_string(i);
-    wiscan::WiScanFile f = scripted_file(name);
     // Vary the data a little per point.
-    for (auto& e : f.entries) e.rssi_dbm -= i * 0.5;
-    col.files.push_back(std::move(f));
+    col.files.push_back(scripted_file(name, i * 0.5));
     map.add(name, {static_cast<double>(i), 0.0});
   }
 

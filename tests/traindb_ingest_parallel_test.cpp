@@ -182,10 +182,10 @@ TEST_F(IngestParallelTest, EndToEndFromPathBytesMatchSerial) {
   }
 }
 
-// generate_database_from_path streams rows straight into sample
-// buckets without materializing a Collection; its output — bytes and
-// report alike — must be indistinguishable from the materialized
-// load_collection + generate_database composition.
+// generate_database_from_path is load_collection + generate_database
+// with the map read from disk; its output — bytes and report alike —
+// must stay indistinguishable from that composition over the
+// in-memory map. survey_digest_test.cpp pins the bytes themselves.
 TEST_F(IngestParallelTest, FromPathMatchesLoadCollectionGenerate) {
   const fs::path map_file = dir_ / "site.locmap";
   for (const bool keep_samples : {false, true}) {

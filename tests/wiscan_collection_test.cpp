@@ -104,7 +104,8 @@ TEST_F(SurveyTest, RunProducesOneFilePerLocation) {
   for (const WiScanFile& f : c.files) {
     EXPECT_EQ(f.scan_count(), 10u);
     EXPECT_GE(f.bssids().size(), 2u);  // several APs audible
-    for (const WiScanEntry& e : f.entries) {
+    for (std::size_t i = 0; i < f.size(); ++i) {
+      const WiScanEntry e = f.entry(i);
       EXPECT_EQ(e.ssid, "loctk");
       EXPECT_LT(e.rssi_dbm, 0.0);
     }
@@ -125,7 +126,7 @@ TEST_F(SurveyTest, RunToDirectoryWritesParseableFiles) {
   for (const WiScanFile& f : written.files) {
     const WiScanFile* loaded = back.find(f.location);
     ASSERT_NE(loaded, nullptr) << f.location;
-    EXPECT_EQ(loaded->entries.size(), f.entries.size());
+    EXPECT_EQ(loaded->size(), f.size());
   }
   fs::remove_all(out);
 }
@@ -168,7 +169,8 @@ TEST_F(SurveyTest, MultiHeadingSurveySplitsDwell) {
   const std::string bssid = env.access_points()[0].bssid;
   double sum = 0.0;
   int n = 0;
-  for (const WiScanEntry& e : c.files[0].entries) {
+  for (std::size_t i = 0; i < c.files[0].size(); ++i) {
+    const WiScanEntry e = c.files[0].entry(i);
     if (e.bssid == bssid) {
       sum += e.rssi_dbm;
       ++n;

@@ -3,20 +3,26 @@
 #include "wiscan/format.hpp"
 
 #include <fstream>
+#include <initializer_list>
 
 #include <gtest/gtest.h>
 
 namespace loctk::wiscan {
 namespace {
 
-WiScanFile sample_file() {
+WiScanFile file_of(std::initializer_list<WiScanEntry> entries) {
   WiScanFile f;
-  f.location = "kitchen";
-  f.entries = {
+  for (const WiScanEntry& e : entries) f.add(e);
+  return f;
+}
+
+WiScanFile sample_file() {
+  WiScanFile f = file_of({
       {0.0, "00:17:AB:00:00:00", "loctk", 1, -54.0},
       {0.0, "00:17:AB:00:00:01", "loctk", 6, -61.0},
       {1.0, "00:17:AB:00:00:00", "loctk", 1, -55.5},
-  };
+  });
+  f.location = "kitchen";
   return f;
 }
 
@@ -47,16 +53,16 @@ TEST(Format, ToleratesCommentsBlanksAndCrlf) {
       "\n"
       "bssid=bb rssi=-60\n";
   const WiScanFile f = decode_wiscan(text);
-  ASSERT_EQ(f.entries.size(), 2u);
-  EXPECT_EQ(f.entries[0].bssid, "aa");
-  EXPECT_EQ(f.entries[1].rssi_dbm, -60.0);
+  ASSERT_EQ(f.size(), 2u);
+  EXPECT_EQ(f.entry(0).bssid, "aa");
+  EXPECT_EQ(f.entry(1).rssi_dbm, -60.0);
 }
 
 TEST(Format, KeysInAnyOrderUnknownKeysIgnored) {
   const WiScanFile f = decode_wiscan(
       "rssi=-44 channel=11 future_field=xyz bssid=cc time=3.5 ssid=net\n");
-  ASSERT_EQ(f.entries.size(), 1u);
-  const WiScanEntry& e = f.entries[0];
+  ASSERT_EQ(f.size(), 1u);
+  const WiScanEntry e = f.entry(0);
   EXPECT_EQ(e.bssid, "cc");
   EXPECT_EQ(e.rssi_dbm, -44.0);
   EXPECT_EQ(e.channel, 11);
@@ -69,9 +75,9 @@ TEST(Format, TimeDefaultsToPreviousRow) {
       "time=2.0 bssid=aa rssi=-50\n"
       "bssid=bb rssi=-51\n"          // inherits 2.0
       "time=3.0 bssid=aa rssi=-52\n");
-  ASSERT_EQ(f.entries.size(), 3u);
-  EXPECT_EQ(f.entries[1].timestamp_s, 2.0);
-  EXPECT_EQ(f.entries[2].timestamp_s, 3.0);
+  ASSERT_EQ(f.size(), 3u);
+  EXPECT_EQ(f.entry(1).timestamp_s, 2.0);
+  EXPECT_EQ(f.entry(2).timestamp_s, 3.0);
 }
 
 TEST(Format, MalformedRowsThrow) {
@@ -84,21 +90,19 @@ TEST(Format, MalformedRowsThrow) {
 }
 
 TEST(Format, ScanCountDistinctTimestamps) {
-  WiScanFile f;
-  f.entries = {{0.0, "a", "", 0, -50.0},
-               {0.0, "b", "", 0, -51.0},
-               {1.0, "a", "", 0, -52.0},
-               {2.0, "a", "", 0, -53.0}};
+  const WiScanFile f = file_of({{0.0, "a", "", 0, -50.0},
+                                {0.0, "b", "", 0, -51.0},
+                                {1.0, "a", "", 0, -52.0},
+                                {2.0, "a", "", 0, -53.0}});
   EXPECT_EQ(f.scan_count(), 3u);
   EXPECT_EQ(WiScanFile{}.scan_count(), 0u);
 }
 
 TEST(Format, BssidsFirstHeardOrder) {
-  WiScanFile f;
-  f.entries = {{0.0, "bb", "", 0, -50.0},
-               {0.0, "aa", "", 0, -51.0},
-               {1.0, "bb", "", 0, -52.0}};
-  const auto ids = f.bssids();
+  const WiScanFile f = file_of({{0.0, "bb", "", 0, -50.0},
+                                {0.0, "aa", "", 0, -51.0},
+                                {1.0, "bb", "", 0, -52.0}});
+  const auto& ids = f.bssids();
   ASSERT_EQ(ids.size(), 2u);
   EXPECT_EQ(ids[0], "bb");
   EXPECT_EQ(ids[1], "aa");
@@ -144,12 +148,13 @@ TEST(EntriesFromScans, FlattensSimulatorOutput) {
   scans[0].samples = {{"aa", -50.0, 1}, {"bb", -60.0, 6}};
   scans[1].timestamp_s = 1.0;
   scans[1].samples = {{"aa", -51.0, 1}};
-  const auto entries = entries_from_scans(scans, "net");
-  ASSERT_EQ(entries.size(), 3u);
-  EXPECT_EQ(entries[0].bssid, "aa");
-  EXPECT_EQ(entries[0].ssid, "net");
-  EXPECT_EQ(entries[1].channel, 6);
-  EXPECT_EQ(entries[2].timestamp_s, 1.0);
+  WiScanFile f;
+  append_scans(f, scans, "net");
+  ASSERT_EQ(f.size(), 3u);
+  EXPECT_EQ(f.entry(0).bssid, "aa");
+  EXPECT_EQ(f.entry(0).ssid, "net");
+  EXPECT_EQ(f.entry(1).channel, 6);
+  EXPECT_EQ(f.entry(2).timestamp_s, 1.0);
 }
 
 }  // namespace

@@ -1,13 +1,17 @@
-// Unit tests for the zero-copy ingest substrate: whole-file buffers,
-// string_view number parsing, line scanning, and the malformed-input
-// diagnostics of the buffer-oriented parsers.
+// Unit tests for the ingest substrate: whole-file reads, string_view
+// number parsing, line scanning, the wi-scan parser's BSSID/SSID
+// interner, and the malformed-input diagnostics of the buffer-oriented
+// parsers.
 
 #include "wiscan/scan_buffer.hpp"
 
+#include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -64,22 +68,36 @@ TEST_F(ScanBufferTest, ReadFileBytesMissingFileThrows) {
 }
 
 TEST_F(ScanBufferTest, FileBufferViewsWholeFile) {
+  // The buffer a wi-scan file is parsed from holds every byte of it,
+  // and the line scanner walks the whole buffer.
   const std::string content = "line one\nline two\n";
   const fs::path p = write_file("scan.wiscan", content);
-  const FileBuffer buffer(p);
-  EXPECT_EQ(buffer.view(), content);
+  const std::string buffer = read_file_bytes(p);
+  EXPECT_EQ(buffer, content);
   EXPECT_EQ(buffer.size(), content.size());
-}
-
-TEST_F(ScanBufferTest, FileBufferEmptyFileIsEmptyView) {
-  const fs::path p = write_file("empty.wiscan", "");
-  const FileBuffer buffer(p);
-  EXPECT_TRUE(buffer.view().empty());
-  EXPECT_EQ(buffer.size(), 0u);
+  LineScanner lines(buffer);
+  EXPECT_EQ(lines.next(), "line one");
+  EXPECT_EQ(lines.next(), "line two");
+  EXPECT_EQ(lines.next(), std::nullopt);
+  EXPECT_EQ(lines.line_number(), 2u);
 }
 
 TEST_F(ScanBufferTest, FileBufferMissingFileThrows) {
-  EXPECT_THROW(FileBuffer(dir_ / "missing.wiscan"), BufferError);
+  // Both the throwing reader and its structured-error form report a
+  // missing wi-scan file as an I/O failure.
+  EXPECT_THROW(read_file_bytes(dir_ / "missing.wiscan"), BufferError);
+  const Result<std::string> r = try_read_file_bytes(dir_ / "missing.wiscan");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().code(), ErrorCode::kIo);
+}
+
+TEST_F(ScanBufferTest, ReadFileBytesEmptyFileIsEmpty) {
+  const fs::path p = write_file("empty.wiscan", "");
+  EXPECT_TRUE(read_file_bytes(p).empty());
+}
+
+TEST_F(ScanBufferTest, ReadFileBytesRejectsADirectory) {
+  EXPECT_THROW(read_file_bytes(dir_), BufferError);
 }
 
 TEST(ParseNumber, AcceptsUsualForms) {
@@ -145,6 +163,30 @@ TEST(WiScanBuffer, NonNumericRssiReportsLineAndToken) {
   EXPECT_NE(msg.find("line 2"), std::string::npos) << msg;
 }
 
+TEST(WiScanBuffer, EmptyBssidIsRejectedWithLineDiagnostic) {
+  // An empty value would otherwise train an AP named ''.
+  const std::string msg = message_of<FormatError>([] {
+    parse_wiscan_buffer("bssid=aa rssi=-50\nbssid= rssi=-70\n");
+  });
+  EXPECT_NE(msg.find("empty bssid"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("line 2"), std::string::npos) << msg;
+  // The canonical key order falls back to the generic loop and
+  // reports the same.
+  EXPECT_THROW(parse_wiscan_buffer("time=0 bssid= ssid=net rssi=-70\n"),
+               FormatError);
+  EXPECT_THROW(parse_wiscan_buffer("bssid=aa bssid= rssi=-70\n"),
+               FormatError);
+}
+
+TEST(WiScanBuffer, BlankLinesReserveAtMostOneRowPerShortestRow) {
+  // One row per newline would reserve a row for every blank line; the
+  // reserve is bounded by the 14-byte shortest row instead.
+  const std::string text(std::size_t{1} << 20, '\n');
+  const WiScanFile f = parse_wiscan_buffer(text);
+  EXPECT_EQ(f.size(), 0u);
+  EXPECT_LE(f.rows().capacity(), text.size() / 14 + 1);
+}
+
 TEST(WiScanBuffer, NonFiniteRssiIsRejectedWithLineDiagnostic) {
   // from_chars/strtod happily accept "inf" and "nan"; a non-finite
   // dBm would poison every downstream mean, so the row layer rejects
@@ -177,9 +219,9 @@ TEST(WiScanBuffer, CrlfAndNoTrailingNewlineParse) {
   const WiScanFile f = parse_wiscan_buffer(
       "# location: lab\r\nbssid=aa rssi=-50\r\nbssid=bb rssi=-60");
   EXPECT_EQ(f.location, "lab");
-  ASSERT_EQ(f.entries.size(), 2u);
-  EXPECT_EQ(f.entries[0].bssid, "aa");
-  EXPECT_EQ(f.entries[1].rssi_dbm, -60.0);
+  ASSERT_EQ(f.size(), 2u);
+  EXPECT_EQ(f.entry(0).bssid, "aa");
+  EXPECT_EQ(f.entry(1).rssi_dbm, -60.0);
 }
 
 TEST(WiScanBuffer, MatchesIstreamAdapter) {
@@ -188,6 +230,114 @@ TEST(WiScanBuffer, MatchesIstreamAdapter) {
       "time=0.5 bssid=aa ssid=net channel=6 rssi=-54\n"
       "bssid=bb rssi=-61\n";
   EXPECT_EQ(parse_wiscan_buffer(text), decode_wiscan(text));
+}
+
+// --- the per-parse interner -----------------------------------------
+
+std::string mac(std::size_t i) {
+  char buf[18];
+  std::snprintf(buf, sizeof buf, "02:00:00:%02zx:%02zx:%02zx", (i >> 16) & 0xff,
+                (i >> 8) & 0xff, i & 0xff);
+  return buf;
+}
+
+TEST(WiScanInterner, FiveThousandDistinctBssidsGrowTheTable) {
+  constexpr std::size_t kAps = 5000;
+  std::string text;
+  // Two passes: the second hears every AP again in reverse order, so
+  // each lookup after the table has grown misses the follow-on guess.
+  for (std::size_t i = 0; i < kAps; ++i) {
+    text += "time=0 bssid=" + mac(i) + " rssi=-" + std::to_string(40 + i % 50) +
+            "\n";
+  }
+  for (std::size_t i = kAps; i-- > 0;) {
+    text += "time=1 bssid=" + mac(i) + " rssi=-60\n";
+  }
+  const WiScanFile f = parse_wiscan_buffer(text);
+  ASSERT_EQ(f.bssids().size(), kAps);
+  ASSERT_EQ(f.size(), 2 * kAps);
+  for (std::size_t i = 0; i < kAps; ++i) {
+    EXPECT_EQ(f.bssids()[i], mac(i));
+    EXPECT_EQ(f.rows()[i].bssid, i);
+    EXPECT_EQ(f.rows()[2 * kAps - 1 - i].bssid, i);
+  }
+  EXPECT_EQ(f.scan_count(), 2u);
+}
+
+TEST(WiScanInterner, BssidsDifferingInOneByteStayDistinct) {
+  // Every position of a 17-byte MAC and of a 5-byte name, so both the
+  // word-at-a-time and the short-key hash paths see single-byte
+  // differences.
+  for (const std::string& base : {std::string("00:11:22:33:44:55"),
+                                 std::string("ap-01")}) {
+    std::vector<std::string> keys{base};
+    for (std::size_t pos = 0; pos < base.size(); ++pos) {
+      std::string k = base;
+      k[pos] = static_cast<char>(k[pos] ^ 0x01);
+      keys.push_back(k);
+    }
+    std::string text;
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const std::string& k : keys) {
+        text += "time=" + std::to_string(pass) + " bssid=" + k +
+                " rssi=-50\n";
+      }
+    }
+    const WiScanFile f = parse_wiscan_buffer(text);
+    EXPECT_EQ(f.bssids(), keys) << base;
+    for (std::size_t i = 0; i < f.size(); ++i) {
+      EXPECT_EQ(f.entry(i).bssid, keys[i % keys.size()]) << base;
+    }
+  }
+}
+
+TEST(WiScanInterner, EmptyAndAbsentSsidAreOneString) {
+  const WiScanFile f = parse_wiscan_buffer(
+      "time=0 bssid=aa ssid= rssi=-50\n"
+      "time=0 bssid=bb rssi=-51\n"
+      "time=1 bssid=aa ssid=net rssi=-52\n"
+      "time=1 bssid=bb ssid= channel=6 rssi=-53\n");
+  EXPECT_EQ(f.ssids(), (std::vector<std::string>{"", "net"}));
+  EXPECT_EQ(f.rows()[0].ssid, f.rows()[1].ssid);
+  EXPECT_EQ(f.rows()[1].ssid, f.rows()[3].ssid);
+  EXPECT_EQ(f.entry(0).ssid, "");
+  EXPECT_EQ(f.entry(2).ssid, "net");
+  EXPECT_EQ(f.entry(3).channel, 6);
+}
+
+TEST(WiScanInterner, RepeatedBssidInOneScanPassKeepsEveryRow) {
+  const WiScanFile f = parse_wiscan_buffer(
+      "time=0 bssid=aa rssi=-50\n"
+      "time=0 bssid=aa rssi=-51\n"
+      "time=0 bssid=bb rssi=-60\n"
+      "time=1 bssid=aa rssi=-52\n"
+      "time=1 bssid=bb rssi=-61\n"
+      "time=1 bssid=bb rssi=-62\n");
+  EXPECT_EQ(f.bssids(), (std::vector<std::string>{"aa", "bb"}));
+  std::vector<std::uint32_t> ids;
+  for (const WiScanRow& row : f.rows()) ids.push_back(row.bssid);
+  EXPECT_EQ(ids, (std::vector<std::uint32_t>{0, 0, 1, 0, 1, 1}));
+  EXPECT_EQ(f.entry(1).rssi_dbm, -51.0);
+  EXPECT_EQ(f.entry(5).rssi_dbm, -62.0);
+  EXPECT_EQ(f.scan_count(), 2u);
+}
+
+TEST(WiScanInterner, FileBuiltWithAddRoundTripsThroughText) {
+  WiScanFile f;
+  f.location = "lab";
+  for (int t = 0; t < 3; ++t) {
+    f.add({t * 0.5, "00:17:ab:00:00:02", "net", 6, -54.25 - t});
+    f.add({t * 0.5, "00:17:ab:00:00:01", "", 0, -61.5});
+    f.add({t * 0.5, "00:17:ab:00:00:02", "guest", 11, -70.0});
+  }
+  EXPECT_EQ(f.bssids().size(), 2u);
+  EXPECT_EQ(f.ssids(), (std::vector<std::string>{"net", "", "guest"}));
+  EXPECT_EQ(decode_wiscan(encode_wiscan(f)), f);
+  // Rebuilding row by row yields the same file.
+  WiScanFile copy;
+  copy.location = f.location;
+  for (std::size_t i = 0; i < f.size(); ++i) copy.add(f.entry(i));
+  EXPECT_EQ(copy, f);
 }
 
 // --- location-map malformed-row diagnostics -------------------------
