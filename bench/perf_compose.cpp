@@ -1,22 +1,23 @@
-// PERF_COMPOSE — fleet-frame composition throughput.
+// PERF_COMPOSE — fleet-frame composition time.
 //
-// Measures the tile-parallel FleetCompositor against the serial
-// per-call primitive path on a campus-scale frame: a 2-building
-// campus plate (240 heat cells, 340 AP markers + labels) carrying
-// 10,000 device markers — the per-tick visual `soak_fleet --server
-// --campus-sites ... --frames` emits. Both paths produce byte-
-// identical frames (tests/fleet_compositor_test.cpp), so the ratio of
-// the two `pixels_per_s` counters is pure speedup: span fills and
+// Measures FleetCompositor::render against the serial per-call
+// primitive path (render_serial) on a campus-scale frame: a
+// 2-building campus plate (240 heat cells, 340 AP markers + labels)
+// carrying 1,000 or 10,000 device markers — the per-tick visual
+// `soak_fleet --server --campus-sites ... --frames` emits. Both paths
+// produce byte-identical frames (tests/fleet_compositor_test.cpp), so
+// the ratio of their wall times is pure speedup: span fills and
 // prerendered marker stamps instead of per-pixel bounds-checked
-// writes, glyph-atlas blits instead of per-pixel font walks, and tile
-// parallelism on hosts that have cores to spend.
+// writes, glyph-atlas blits instead of per-pixel font walks.
 //
 // Also times the glyph-atlas text path against legacy draw_text, the
 // one-time shared-atlas build, and the raw rect packer.
 //
-// CI smoke runs one repetition of each benchmark; the committed
-// BENCH_compose.json in the repo root records the full run (gated on
-// loctk_build_type == "release", bench_metrics.hpp).
+// Every entry runs on the wall clock with 5 repetitions
+// (bench::wall_clock). CI smoke runs each benchmark briefly; the
+// committed BENCH_compose.json in the repo root records the medians
+// and CVs of a full run (gated on loctk_build_type == "release",
+// bench_metrics.hpp).
 
 #include <string>
 #include <vector>
@@ -34,7 +35,6 @@ namespace {
 
 using namespace loctk;
 using floorplan::FleetCompositor;
-using floorplan::FleetCompositorOptions;
 using floorplan::FleetFrameSpec;
 
 constexpr int kFrameWidth = 1116;   // 2 x 240ft + 60ft gap at 2 px/ft + margins
@@ -101,7 +101,7 @@ void set_frame_counters(benchmark::State& state, const FleetFrameSpec& spec) {
                          benchmark::Counter::kIsIterationInvariantRate);
 }
 
-/// Baseline: the legacy per-call primitives, one pass, no tiles.
+/// Baseline: the legacy per-call primitives, one pass.
 void BM_ComposeFrame_PerCall(benchmark::State& state) {
   const FleetFrameSpec spec =
       campus_frame(static_cast<int>(state.range(0)));
@@ -112,27 +112,21 @@ void BM_ComposeFrame_PerCall(benchmark::State& state) {
   set_frame_counters(state, spec);
 }
 BENCHMARK(BM_ComposeFrame_PerCall)->Arg(1000)->Arg(10000)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->Apply(bench::wall_clock);
 
-/// The tile-parallel path (optimized primitives + glyph atlas +
-/// thread-pool tiles). Byte-identical output to the baseline.
-void BM_ComposeFrame_Tiled(benchmark::State& state) {
+/// The compositor's one pass (span fills, marker stamps, glyph
+/// atlas). Byte-identical output to the baseline.
+void BM_ComposeFrame(benchmark::State& state) {
   const FleetFrameSpec spec =
       campus_frame(static_cast<int>(state.range(0)));
-  FleetCompositorOptions options;
-  options.tile_px = static_cast<int>(state.range(1));
-  const FleetCompositor compositor(options);
+  const FleetCompositor compositor;
   for (auto _ : state) {
     benchmark::DoNotOptimize(compositor.render(spec));
   }
   set_frame_counters(state, spec);
 }
-BENCHMARK(BM_ComposeFrame_Tiled)
-    ->Args({1000, 64})
-    ->Args({10000, 32})
-    ->Args({10000, 64})
-    ->Args({10000, 128})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ComposeFrame)->Arg(1000)->Arg(10000)
+    ->Unit(benchmark::kMillisecond)->Apply(bench::wall_clock);
 
 /// Legacy text: per-pixel glyph walk, per call, per character.
 void BM_DrawText_Legacy(benchmark::State& state) {
@@ -148,7 +142,7 @@ void BM_DrawText_Legacy(benchmark::State& state) {
   state.counters["glyphs_per_s"] = benchmark::Counter(
       24.0 * 18.0, benchmark::Counter::kIsIterationInvariantRate);
 }
-BENCHMARK(BM_DrawText_Legacy)->Arg(1)->Arg(2);
+BENCHMARK(BM_DrawText_Legacy)->Arg(1)->Arg(2)->Apply(bench::wall_clock);
 
 /// Atlas text: one prerendered mask blit per character.
 void BM_DrawText_Atlas(benchmark::State& state) {
@@ -165,7 +159,7 @@ void BM_DrawText_Atlas(benchmark::State& state) {
   state.counters["glyphs_per_s"] = benchmark::Counter(
       24.0 * 18.0, benchmark::Counter::kIsIterationInvariantRate);
 }
-BENCHMARK(BM_DrawText_Atlas)->Arg(1)->Arg(2);
+BENCHMARK(BM_DrawText_Atlas)->Arg(1)->Arg(2)->Apply(bench::wall_clock);
 
 /// One-time cost of building the full shared atlas (384 glyph slots
 /// packed + rasterized).
@@ -184,7 +178,7 @@ void BM_AtlasBuild_FullSet(benchmark::State& state) {
       static_cast<double>(keys.size()),
       benchmark::Counter::kIsIterationInvariantRate);
 }
-BENCHMARK(BM_AtlasBuild_FullSet);
+BENCHMARK(BM_AtlasBuild_FullSet)->Apply(bench::wall_clock);
 
 /// Raw node-tree packer throughput on the full glyph-set dimensions.
 void BM_RectPack_FullSet(benchmark::State& state) {
@@ -202,7 +196,7 @@ void BM_RectPack_FullSet(benchmark::State& state) {
     benchmark::DoNotOptimize(placed);
   }
 }
-BENCHMARK(BM_RectPack_FullSet);
+BENCHMARK(BM_RectPack_FullSet)->Apply(bench::wall_clock);
 
 }  // namespace
 

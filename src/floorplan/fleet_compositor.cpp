@@ -1,14 +1,11 @@
 #include "floorplan/fleet_compositor.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <utility>
 
 #include "base/metrics.hpp"
-#include "concurrency/parallel_for.hpp"
-#include "image/font.hpp"
 #include "image/glyph_atlas.hpp"
 
 namespace loctk::floorplan {
@@ -16,356 +13,43 @@ namespace loctk::floorplan {
 namespace {
 
 using image::Color;
-using image::GlyphAtlas;
 using image::Raster;
 
-/// Half-open pixel rectangle.
-struct Box {
-  int x0 = 0, y0 = 0, x1 = 0, y1 = 0;
-
-  bool empty() const { return x0 >= x1 || y0 >= y1; }
-};
-
-/// Conservative bounding box of the pixels an op can write. Every
-/// legacy primitive's ink is contained in the box it returns here
-/// (the determinism test against `render_serial` would catch any
-/// escape).
-Box op_bbox(const FrameOp& op) {
-  switch (op.kind) {
-    case FrameOp::Kind::kFillRect:
-    case FrameOp::Kind::kRect:
-      return {op.x, op.y, op.x + std::max(0, op.w), op.y + std::max(0, op.h)};
-    case FrameOp::Kind::kLine:
-      return {std::min(op.x, op.x2), std::min(op.y, op.y2),
-              std::max(op.x, op.x2) + 1, std::max(op.y, op.y2) + 1};
-    case FrameOp::Kind::kMarker: {
-      const int r = std::max(1, op.radius);
-      return {op.x - r, op.y - r, op.x + r + 1, op.y + r + 1};
-    }
-    case FrameOp::Kind::kText: {
-      const int scale = std::max(1, op.scale);
-      return {op.x, op.y, op.x + image::text_width(op.text, scale),
-              op.y + image::text_height(op.text, scale)};
-    }
-  }
-  return {};
-}
-
-/// A clipped window onto the shared output raster. Each tile owns a
-/// disjoint window, so concurrent tile renders never write the same
-/// pixel.
-struct TileView {
-  Color* data;  ///< output raster pixel 0
-  int stride;   ///< output raster width
-  Box clip;     ///< pixels this tile owns (half-open)
-
-  Color* row(int y) const {
-    return data + static_cast<std::size_t>(y) *
-                      static_cast<std::size_t>(stride);
-  }
-  void set(int x, int y, Color c) const {
-    if (x >= clip.x0 && x < clip.x1 && y >= clip.y0 && y < clip.y1) {
-      row(y)[x] = c;
-    }
-  }
-};
-
-/// Solid rect via row spans: same pixels as the legacy `fill_rect`
-/// restricted to the tile, without the per-pixel checked `at()`.
-/// The first row is filled pixel-wise, the rest are memcpy'd from it
-/// (a 3-byte Color defeats std::fill vectorization; memcpy doesn't
-/// care).
-void tile_fill_rect(const TileView& t, const FrameOp& op) {
-  const int x0 = std::max(op.x, t.clip.x0);
-  const int y0 = std::max(op.y, t.clip.y0);
-  const int x1 = std::min(op.x + op.w, t.clip.x1);
-  const int y1 = std::min(op.y + op.h, t.clip.y1);
+/// Solid rect via row spans: the pixels of the legacy `fill_rect`
+/// without its per-pixel checked `at()`. The first row is filled
+/// pixel-wise and the rest are memcpy'd from it (a 3-byte Color
+/// defeats std::fill vectorization; memcpy doesn't care).
+void fill_rect_spans(Raster& out, const FrameOp& op) {
+  const int x0 = std::max(op.x, 0);
+  const int y0 = std::max(op.y, 0);
+  const int x1 = std::min(op.x + op.w, out.width());
+  const int y1 = std::min(op.y + op.h, out.height());
   if (x0 >= x1 || y0 >= y1) return;
-  Color* first = t.row(y0) + x0;
+  const std::size_t stride = static_cast<std::size_t>(out.width());
+  Color* first = out.data().data() + static_cast<std::size_t>(y0) * stride +
+                 static_cast<std::size_t>(x0);
   std::fill(first, first + (x1 - x0), op.color);
-  const std::size_t bytes =
-      static_cast<std::size_t>(x1 - x0) * sizeof(Color);
+  const std::size_t bytes = static_cast<std::size_t>(x1 - x0) * sizeof(Color);
   for (int y = y0 + 1; y < y1; ++y) {
-    std::memcpy(t.row(y) + x0, first, bytes);
+    std::memcpy(first + static_cast<std::size_t>(y - y0) * stride, first,
+                bytes);
   }
 }
 
-/// Rect outline as two row spans and two column walks — pixel-equal
-/// to `draw_rect`'s four inclusive-endpoint lines.
-void tile_rect_outline(const TileView& t, const FrameOp& op) {
-  if (op.w <= 0 || op.h <= 0) return;
-  const int left = op.x;
-  const int right = op.x + op.w - 1;
-  const int top = op.y;
-  const int bottom = op.y + op.h - 1;
-  const int x0 = std::max(left, t.clip.x0);
-  const int x1 = std::min(right + 1, t.clip.x1);
-  if (x0 < x1) {
-    if (top >= t.clip.y0 && top < t.clip.y1) {
-      std::fill(t.row(top) + x0, t.row(top) + x1, op.color);
-    }
-    if (bottom >= t.clip.y0 && bottom < t.clip.y1) {
-      std::fill(t.row(bottom) + x0, t.row(bottom) + x1, op.color);
-    }
+/// The footprint `draw_marker` inks for (shape, r >= 1): one byte per
+/// pixel of the (2r+1)^2 neighborhood, row-major, nonzero = inked.
+/// Rendered black-on-white by the legacy primitive and read back, so
+/// it is byte-faithful to draw_marker by definition.
+std::vector<std::uint8_t> marker_stamp(image::MarkerShape shape, int r) {
+  const int side = 2 * r + 1;
+  Raster tmp(side, side, image::colors::kWhite);
+  image::draw_marker(tmp, r, r, shape, image::colors::kBlack, r);
+  std::vector<std::uint8_t> mask;
+  mask.reserve(tmp.data().size());
+  for (const Color& px : tmp.data()) {
+    mask.push_back(px == image::colors::kBlack ? 1 : 0);
   }
-  const int y0 = std::max(top, t.clip.y0);
-  const int y1 = std::min(bottom + 1, t.clip.y1);
-  for (int y = y0; y < y1; ++y) {
-    t.set(left, y, op.color);
-    t.set(right, y, op.color);
-  }
-}
-
-/// The exact Bresenham walk `draw_line` / `draw_dashed_line` take,
-/// with writes clipped to the tile.
-void tile_line(const TileView& t, const FrameOp& op) {
-  int x0 = op.x, y0 = op.y;
-  const int x1 = op.x2, y1 = op.y2;
-  const int on = op.dashed ? std::max(1, op.dash_on) : 1;
-  const int off = op.dashed ? std::max(0, op.dash_off) : 0;
-  const int period = on + off;
-  int dx = std::abs(x1 - x0);
-  int dy = -std::abs(y1 - y0);
-  const int sx = x0 < x1 ? 1 : -1;
-  const int sy = y0 < y1 ? 1 : -1;
-  int err = dx + dy;
-  int step = 0;
-  for (;;) {
-    if (!op.dashed || step % period < on) t.set(x0, y0, op.color);
-    if (x0 == x1 && y0 == y1) break;
-    const int e2 = 2 * err;
-    if (e2 >= dy) {
-      err += dy;
-      x0 += sx;
-    }
-    if (e2 <= dx) {
-      err += dx;
-      y0 += sy;
-    }
-    ++step;
-  }
-}
-
-/// A prerendered marker footprint: which pixels of the (2r+1)^2
-/// neighborhood `draw_marker` inks. Rendered once per distinct
-/// (shape, radius) and blitted per instance.
-struct MarkerStamp {
-  int r = 0;
-  std::vector<std::uint8_t> mask;  // (2r+1) x (2r+1), row-major
-
-  static MarkerStamp build(image::MarkerShape shape, int radius) {
-    MarkerStamp stamp;
-    stamp.r = std::max(1, radius);
-    const int side = 2 * stamp.r + 1;
-    // Render the legacy primitive black-on-white and read the ink
-    // back — the stamp is byte-faithful to draw_marker by definition.
-    Raster tmp(side, side, image::colors::kWhite);
-    image::draw_marker(tmp, stamp.r, stamp.r, shape, image::colors::kBlack,
-                       stamp.r);
-    stamp.mask.resize(static_cast<std::size_t>(side) *
-                      static_cast<std::size_t>(side));
-    for (int y = 0; y < side; ++y) {
-      for (int x = 0; x < side; ++x) {
-        stamp.mask[static_cast<std::size_t>(y * side + x)] =
-            tmp.at(x, y) == image::colors::kBlack ? 1 : 0;
-      }
-    }
-    return stamp;
-  }
-};
-
-/// Unclipped masked blit with compile-time bounds. The constant trip
-/// counts are the entire point: the optimizer fully unrolls both
-/// loops, which a runtime `span` defeats — measured ~4x on 10k-marker
-/// frames. Mask rows are `mask_stride` bytes apart, dst rows `stride`
-/// pixels. The select writes a masked-off pixel's own value back;
-/// that is byte-neutral and safe because the whole W x H window lies
-/// inside this tile's clip (the caller checked).
-template <int W, int H>
-void masked_blit_fixed(Color* dst0, int stride, const std::uint8_t* mask,
-                       int mask_stride, Color c) {
-  for (int y = 0; y < H; ++y) {
-    Color* dst = dst0 + static_cast<std::ptrdiff_t>(y) * stride;
-    const std::uint8_t* m = mask + static_cast<std::ptrdiff_t>(y) * mask_stride;
-    for (int x = 0; x < W; ++x) {
-      dst[x] = m[x] != 0 ? c : dst[x];
-    }
-  }
-}
-
-/// Runtime-bounds fallback for clipped or odd-sized blits.
-void masked_blit(Color* dst0, int stride, const std::uint8_t* mask,
-                 int mask_stride, Color c, int w, int h) {
-  for (int y = 0; y < h; ++y) {
-    Color* dst = dst0 + static_cast<std::ptrdiff_t>(y) * stride;
-    const std::uint8_t* m = mask + static_cast<std::ptrdiff_t>(y) * mask_stride;
-    for (int x = 0; x < w; ++x) {
-      dst[x] = m[x] != 0 ? c : dst[x];
-    }
-  }
-}
-
-using StampKey = std::pair<image::MarkerShape, int>;
-
-/// Map value: the stamp plus its slot in the frame's stamp table
-/// (replay records carry the slot index, not a pointer).
-struct StampEntry {
-  MarkerStamp stamp;
-  std::uint32_t id = 0;
-};
-using StampCache = std::map<StampKey, StampEntry>;
-
-/// Blit one stamp instance. Markers are tiny (a radius-2 dot is 5x5),
-/// so the interesting case is the unclipped one: dispatch it to the
-/// fixed-size blit for the common radii and let everything else —
-/// tile-straddling instances, exotic radii — take the generic loop.
-void tile_marker(const TileView& t, int mx, int my, Color c,
-                 const MarkerStamp& stamp) {
-  const int side = 2 * stamp.r + 1;
-  const int ox = mx - stamp.r;  // stamp origin in frame space
-  const int oy = my - stamp.r;
-  const int x0 = std::max(ox, t.clip.x0);
-  const int y0 = std::max(oy, t.clip.y0);
-  const int x1 = std::min(ox + side, t.clip.x1);
-  const int y1 = std::min(oy + side, t.clip.y1);
-  if (x0 >= x1 || y0 >= y1) return;
-  if (x0 == ox && y0 == oy && x1 == ox + side && y1 == oy + side) {
-    Color* dst0 = t.row(oy) + ox;
-    const std::uint8_t* mask = stamp.mask.data();
-    switch (side) {
-      case 3:
-        masked_blit_fixed<3, 3>(dst0, t.stride, mask, side, c);
-        return;
-      case 5:
-        masked_blit_fixed<5, 5>(dst0, t.stride, mask, side, c);
-        return;
-      case 7:
-        masked_blit_fixed<7, 7>(dst0, t.stride, mask, side, c);
-        return;
-      case 9:
-        masked_blit_fixed<9, 9>(dst0, t.stride, mask, side, c);
-        return;
-      default:
-        break;
-    }
-  }
-  const std::uint8_t* mask =
-      stamp.mask.data() +
-      static_cast<std::size_t>(y0 - oy) * static_cast<std::size_t>(side) +
-      static_cast<std::size_t>(x0 - ox);
-  masked_blit(t.row(y0) + x0, t.stride, mask, side, c, x1 - x0, y1 - y0);
-}
-
-/// One glyph from the shared atlas into the tile window. The atlas
-/// page is the mask (1 byte per pixel, nonzero = inked), read in
-/// place — no per-row staging buffer.
-void tile_blit_glyph(const TileView& t, const GlyphAtlas& atlas, int x,
-                     int y, char ch, Color c, int scale) {
-  const image::AtlasGlyph* glyph = atlas.find(ch, scale);
-  if (glyph == nullptr) {
-    // Oversize scale: the legacy per-pixel walk, clipped to the tile.
-    for (int row = 0; row < image::kGlyphHeight; ++row) {
-      for (int col = 0; col < image::kGlyphWidth; ++col) {
-        if (!image::glyph_pixel(ch, col, row)) continue;
-        for (int dy = 0; dy < scale; ++dy) {
-          for (int dx = 0; dx < scale; ++dx) {
-            t.set(x + col * scale + dx, y + row * scale + dy, c);
-          }
-        }
-      }
-    }
-    return;
-  }
-  const int x0 = std::max(x, t.clip.x0);
-  const int y0 = std::max(y, t.clip.y0);
-  const int x1 = std::min(x + glyph->w, t.clip.x1);
-  const int y1 = std::min(y + glyph->h, t.clip.y1);
-  if (x0 >= x1 || y0 >= y1) return;
-  const std::uint8_t* mask0 = atlas.row(glyph->y) + glyph->x;
-  const int mask_stride = atlas.page_width();
-  if (x0 == x && y0 == y && x1 == x + glyph->w && y1 == y + glyph->h) {
-    Color* dst0 = t.row(y) + x;
-    switch (scale) {
-      case 1:
-        masked_blit_fixed<image::kGlyphWidth, image::kGlyphHeight>(
-            dst0, t.stride, mask0, mask_stride, c);
-        return;
-      case 2:
-        masked_blit_fixed<2 * image::kGlyphWidth, 2 * image::kGlyphHeight>(
-            dst0, t.stride, mask0, mask_stride, c);
-        return;
-      case 3:
-        masked_blit_fixed<3 * image::kGlyphWidth, 3 * image::kGlyphHeight>(
-            dst0, t.stride, mask0, mask_stride, c);
-        return;
-      case 4:
-        masked_blit_fixed<4 * image::kGlyphWidth, 4 * image::kGlyphHeight>(
-            dst0, t.stride, mask0, mask_stride, c);
-        return;
-      default:
-        break;
-    }
-  }
-  const std::uint8_t* mask = mask0 +
-                             static_cast<std::ptrdiff_t>(y0 - y) * mask_stride +
-                             (x0 - x);
-  masked_blit(t.row(y0) + x0, t.stride, mask, mask_stride, c, x1 - x0,
-              y1 - y0);
-}
-
-/// `draw_text`'s exact layout loop, glyphs via the atlas.
-void tile_text(const TileView& t, const FrameOp& op,
-               const GlyphAtlas& atlas) {
-  const int scale = std::max(1, op.scale);
-  int cx = op.x;
-  int cy = op.y;
-  for (const char ch : op.text) {
-    if (ch == '\n') {
-      cx = op.x;
-      cy += image::kLineAdvance * scale;
-      continue;
-    }
-    tile_blit_glyph(t, atlas, cx, cy, ch, op.color, scale);
-    cx += image::kGlyphAdvance * scale;
-  }
-}
-
-/// A bin entry: everything the replay loop needs for the hot kinds,
-/// packed small. A fleet frame is dominated by thousands of marker
-/// instances, and `FrameOp` (with its embedded std::string) is ~10x
-/// this size — replaying bins through the full op array walks ~1 MB
-/// in tile-scattered order, which costs more in cache misses than the
-/// blits themselves. Markers replay entirely from the record; the
-/// rarer kinds (fills, outlines, lines, text) indirect back to the op.
-struct ReplayRec {
-  std::int32_t x = 0, y = 0;
-  Color color{};
-  std::uint8_t kind = 0;
-  std::uint32_t stamp_id = 0;  ///< index into the frame's stamp table
-  std::uint32_t op_idx = 0;
-};
-
-void replay_rec(const TileView& t, const ReplayRec& rec,
-                const FleetFrameSpec& spec,
-                const std::vector<const MarkerStamp*>& stamp_ptrs,
-                const GlyphAtlas& atlas) {
-  switch (static_cast<FrameOp::Kind>(rec.kind)) {
-    case FrameOp::Kind::kFillRect:
-      tile_fill_rect(t, spec.ops[rec.op_idx]);
-      break;
-    case FrameOp::Kind::kRect:
-      tile_rect_outline(t, spec.ops[rec.op_idx]);
-      break;
-    case FrameOp::Kind::kLine:
-      tile_line(t, spec.ops[rec.op_idx]);
-      break;
-    case FrameOp::Kind::kMarker:
-      tile_marker(t, rec.x, rec.y, rec.color, *stamp_ptrs[rec.stamp_id]);
-      break;
-    case FrameOp::Kind::kText:
-      tile_text(t, spec.ops[rec.op_idx], atlas);
-      break;
-  }
+  return mask;
 }
 
 }  // namespace
@@ -437,12 +121,8 @@ void FleetFrameSpec::add_text(int x, int y, std::string text,
 
 // --- FleetCompositor -----------------------------------------------
 
-FleetCompositor::FleetCompositor(FleetCompositorOptions options)
-    : options_(options) {}
-
 image::Raster FleetCompositor::render(const FleetFrameSpec& spec) const {
   static metrics::Counter& frames = metrics::counter("compose.frames");
-  static metrics::Counter& tiles_rendered = metrics::counter("compose.tiles");
   static metrics::Counter& ops_submitted = metrics::counter("compose.ops");
   static metrics::Counter& pixels = metrics::counter("compose.pixels");
   static metrics::HistogramMetric& render_s =
@@ -451,136 +131,51 @@ image::Raster FleetCompositor::render(const FleetFrameSpec& spec) const {
   if (spec.width <= 0 || spec.height <= 0) return Raster{};
   const metrics::ScopedTimer timer(render_s);
 
-  const int tile = std::max(1, options_.tile_px);
-  const int tiles_x = (spec.width + tile - 1) / tile;
-  const int tiles_y = (spec.height + tile - 1) / tile;
-  const std::size_t tile_count =
-      static_cast<std::size_t>(tiles_x) * static_cast<std::size_t>(tiles_y);
-
-  // Bin every op to the tiles its bounding box touches, in op order —
-  // each bin is an ordered sub-sequence of the global draw list. The
-  // bins are laid out CSR-style (one counting pass, one placement
-  // pass) so a 10k-op frame does two flat array sweeps instead of
-  // thousands of vector reallocations.
-  const std::size_t op_count = spec.ops.size();
-  // Pixel -> tile index lookup tables: a clamped bbox needs four
-  // tile coordinates, and eight runtime integer divisions per op
-  // (two passes) cost more than the whole 10k-marker replay.
-  std::vector<std::uint32_t> tile_of_x(static_cast<std::size_t>(spec.width));
-  std::vector<std::uint32_t> tile_of_y(static_cast<std::size_t>(spec.height));
-  for (int x = 0; x < spec.width; ++x) {
-    tile_of_x[static_cast<std::size_t>(x)] =
-        static_cast<std::uint32_t>(x / tile);
-  }
-  for (int y = 0; y < spec.height; ++y) {
-    tile_of_y[static_cast<std::size_t>(y)] =
-        static_cast<std::uint32_t>(y / tile);
-  }
-  struct TileSpan {
-    std::uint32_t tx0, tx1, ty0, ty1;  // inclusive tile range
-    bool live;
-  };
-  std::vector<TileSpan> spans(op_count);
-  std::vector<std::uint32_t> bin_count(tile_count, 0);
-  for (std::size_t i = 0; i < op_count; ++i) {
-    Box box = op_bbox(spec.ops[i]);
-    box.x0 = std::max(box.x0, 0);
-    box.y0 = std::max(box.y0, 0);
-    box.x1 = std::min(box.x1, spec.width);
-    box.y1 = std::min(box.y1, spec.height);
-    TileSpan& s = spans[i];
-    s.live = !box.empty();
-    if (!s.live) continue;
-    s.tx0 = tile_of_x[static_cast<std::size_t>(box.x0)];
-    s.tx1 = tile_of_x[static_cast<std::size_t>(box.x1 - 1)];
-    s.ty0 = tile_of_y[static_cast<std::size_t>(box.y0)];
-    s.ty1 = tile_of_y[static_cast<std::size_t>(box.y1 - 1)];
-    for (unsigned ty = s.ty0; ty <= s.ty1; ++ty) {
-      for (unsigned tx = s.tx0; tx <= s.tx1; ++tx) {
-        ++bin_count[static_cast<std::size_t>(ty) *
-                        static_cast<std::size_t>(tiles_x) +
-                    static_cast<std::size_t>(tx)];
-      }
-    }
-  }
-  std::vector<std::size_t> bin_start(tile_count + 1, 0);
-  for (std::size_t t = 0; t < tile_count; ++t) {
-    bin_start[t + 1] = bin_start[t] + bin_count[t];
-  }
-
-  // Marker stamps are resolved to a per-frame table here — fleets
-  // draw thousands of identical dots, and a map lookup per
-  // (tile, op) replay was the single hottest instruction path in the
-  // first cut. The one-entry memo makes the common single-stamp frame
-  // O(ops) with no lookups.
-  StampCache stamps;
-  std::vector<const MarkerStamp*> stamp_ptrs;
-  std::vector<std::uint32_t> op_stamp_id(op_count, 0);
-  StampKey last_key{image::MarkerShape::kCross, -1};
-  std::uint32_t last_id = 0;
-  for (std::size_t i = 0; i < op_count; ++i) {
-    const FrameOp& op = spec.ops[i];
-    if (op.kind != FrameOp::Kind::kMarker) continue;
-    const StampKey key{op.shape, std::max(1, op.radius)};
-    if (key != last_key) {
-      auto [it, inserted] = stamps.try_emplace(key);
-      if (inserted) {
-        it->second.stamp = MarkerStamp::build(op.shape, op.radius);
-        it->second.id = static_cast<std::uint32_t>(stamp_ptrs.size());
-        stamp_ptrs.push_back(&it->second.stamp);
-      }
-      last_key = key;
-      last_id = it->second.id;
-    }
-    op_stamp_id[i] = last_id;
-  }
-
-  // Placement pass: copy each op's hot fields into its bins' compact
-  // replay records (markers never touch the op array again).
-  std::vector<ReplayRec> bin_recs(bin_start[tile_count]);
-  std::vector<std::size_t> bin_fill(bin_start.begin(),
-                                    bin_start.end() - 1);
-  for (std::size_t i = 0; i < op_count; ++i) {
-    const TileSpan& s = spans[i];
-    if (!s.live) continue;
-    const FrameOp& op = spec.ops[i];
-    ReplayRec rec;
-    rec.x = op.x;
-    rec.y = op.y;
-    rec.color = op.color;
-    rec.kind = static_cast<std::uint8_t>(op.kind);
-    rec.stamp_id = op_stamp_id[i];
-    rec.op_idx = static_cast<std::uint32_t>(i);
-    for (unsigned ty = s.ty0; ty <= s.ty1; ++ty) {
-      for (unsigned tx = s.tx0; tx <= s.tx1; ++tx) {
-        const std::size_t t =
-            static_cast<std::size_t>(ty) * static_cast<std::size_t>(tiles_x) +
-            static_cast<std::size_t>(tx);
-        bin_recs[bin_fill[t]++] = rec;
-      }
-    }
-  }
-  const GlyphAtlas& atlas = GlyphAtlas::shared();
-
   Raster out(spec.width, spec.height, spec.background);
-  Color* data = out.data().data();
-
-  concurrency::ThreadPool& pool =
-      options_.pool ? *options_.pool : concurrency::default_pool();
-  concurrency::parallel_for(pool, 0, tile_count, [&](std::size_t t) {
-    const int tx = static_cast<int>(t % static_cast<std::size_t>(tiles_x));
-    const int ty = static_cast<int>(t / static_cast<std::size_t>(tiles_x));
-    const TileView view{
-        data, spec.width,
-        Box{tx * tile, ty * tile, std::min((tx + 1) * tile, spec.width),
-            std::min((ty + 1) * tile, spec.height)}};
-    for (std::size_t k = bin_start[t]; k < bin_start[t + 1]; ++k) {
-      replay_rec(view, bin_recs[k], spec, stamp_ptrs, atlas);
+  // Fleets draw thousands of identical dots: each distinct
+  // (shape, radius) is stamped once, and a run of same-stamp markers
+  // reuses the last one without a map lookup.
+  using StampKey = std::pair<image::MarkerShape, int>;
+  std::map<StampKey, std::vector<std::uint8_t>> stamps;
+  const std::uint8_t* stamp = nullptr;
+  StampKey stamp_key{};
+  for (const FrameOp& op : spec.ops) {
+    switch (op.kind) {
+      case FrameOp::Kind::kFillRect:
+        fill_rect_spans(out, op);
+        break;
+      case FrameOp::Kind::kRect:
+        image::draw_rect(out, op.x, op.y, op.w, op.h, op.color);
+        break;
+      case FrameOp::Kind::kLine:
+        if (op.dashed) {
+          image::draw_dashed_line(out, op.x, op.y, op.x2, op.y2, op.color,
+                                  op.dash_on, op.dash_off);
+        } else {
+          image::draw_line(out, op.x, op.y, op.x2, op.y2, op.color);
+        }
+        break;
+      case FrameOp::Kind::kMarker: {
+        const StampKey key{op.shape, std::max(1, op.radius)};
+        if (stamp == nullptr || key != stamp_key) {
+          auto [it, inserted] = stamps.try_emplace(key);
+          if (inserted) it->second = marker_stamp(key.first, key.second);
+          stamp = it->second.data();
+          stamp_key = key;
+        }
+        const int r = stamp_key.second;
+        const int side = 2 * r + 1;
+        image::blit_mask(out, op.x - r, op.y - r, stamp, side, side, side,
+                         op.color);
+        break;
+      }
+      case FrameOp::Kind::kText:
+        image::draw_text_atlas(out, op.x, op.y, op.text, op.color, op.scale);
+        break;
     }
-  });
+  }
 
   frames.add(1);
-  tiles_rendered.add(tile_count);
   ops_submitted.add(spec.ops.size());
   pixels.add(static_cast<std::uint64_t>(spec.width) *
              static_cast<std::uint64_t>(spec.height));

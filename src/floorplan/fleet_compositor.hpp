@@ -1,39 +1,26 @@
 #pragma once
 
 /// \file fleet_compositor.hpp
-/// Tile-parallel frame composition for fleet-scale visualization.
+/// Frame composition for fleet-scale visualization.
 ///
 /// The paper's Compositor (§4.2) draws a handful of marks on one
 /// floor plan; a campus soak wants a frame per tick carrying a
 /// coverage heatmap, a thousand AP labels, and ten thousand device
 /// markers. `FleetCompositor` renders such frames from a deferred
-/// draw list (`FleetFrameSpec`): the output raster is split into
-/// fixed-size tiles, every op is binned to the tiles its bounding box
-/// touches, and tiles are dispatched over the `ThreadPool` — each
-/// tile replays its ops, in global op order, writing only pixels it
-/// owns.
+/// draw list (`FleetFrameSpec`) in one pass over the ops into one
+/// raster, in op order, so a pixel's final color is the last op
+/// covering it — exactly what the legacy per-call primitives produce
+/// (`render_serial`, the byte-identity oracle the quick tier checks).
 ///
-/// Determinism argument (docs/VISUALIZATION.md): tiles partition the
-/// raster, so every pixel is written by exactly one tile; a pixel's
-/// final color is the last op covering it in op order, which each
-/// tile preserves because bins are built in op order. Scheduling can
-/// reorder *tiles*, never the ops within a pixel — so the frame is
-/// byte-identical across thread counts AND tile sizes, and identical
-/// to the serial single-pass reference (`render_serial`, which runs
-/// the legacy per-call primitives). The quick-tier determinism test
-/// asserts all of it.
-///
-/// Speed comes from three places: tile parallelism, the packed glyph
-/// atlas (`draw_text_atlas` blits instead of per-pixel font walks),
-/// and span-based fills/marker stamps that write rows directly
-/// instead of calling bounds-checked `set_pixel` per pixel — all
-/// pinned to the legacy pixels by the golden tests.
+/// Speed comes from drawing the frequent kinds without per-pixel
+/// bounds checks: fills are row spans, markers are prerendered stamps
+/// and text is glyph-atlas blits, both through `image::blit_mask`
+/// (docs/VISUALIZATION.md).
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "concurrency/thread_pool.hpp"
 #include "image/draw.hpp"
 #include "image/raster.hpp"
 
@@ -84,32 +71,17 @@ struct FleetFrameSpec {
                 int scale = 1);
 };
 
-struct FleetCompositorOptions {
-  /// Tile edge in pixels. Output bytes do not depend on this (see the
-  /// determinism argument); only scheduling granularity does.
-  int tile_px = 64;
-  /// Pool to dispatch tiles on; nullptr uses the process default.
-  concurrency::ThreadPool* pool = nullptr;
-};
-
 class FleetCompositor {
  public:
-  explicit FleetCompositor(FleetCompositorOptions options = {});
-
-  /// Tile-parallel composition. Byte-identical to `render_serial`.
+  /// One pass over `spec.ops` into one raster. Byte-identical to
+  /// `render_serial`.
   image::Raster render(const FleetFrameSpec& spec) const;
 
-  /// Single-pass reference: replays the ops through the legacy
-  /// per-call primitives (`fill_rect`, `draw_marker`, `draw_text`)
-  /// over the full raster. This is both the determinism oracle and
-  /// the baseline `bench/perf_compose` measures the tiled path
-  /// against.
+  /// Reference: replays the ops through the legacy per-call
+  /// primitives (`fill_rect`, `draw_marker`, `draw_text`). This is
+  /// the byte-identity oracle of `render` and the baseline
+  /// `bench/perf_compose` measures it against.
   image::Raster render_serial(const FleetFrameSpec& spec) const;
-
-  const FleetCompositorOptions& options() const { return options_; }
-
- private:
-  FleetCompositorOptions options_;
 };
 
 }  // namespace loctk::floorplan

@@ -2,9 +2,38 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdlib>
 
+#include "image/font.hpp"
+
 namespace loctk::image {
+
+namespace {
+
+/// Masked blit with compile-time bounds. The constant trip counts are
+/// the point: the optimizer fully unrolls both loops, which runtime
+/// bounds defeat. The select writes a masked-off pixel's own value
+/// back, which is byte-neutral because the caller checked that the
+/// whole window lies inside the raster.
+template <int W, int H>
+void blit_mask_fixed(Color* dst0, std::ptrdiff_t stride,
+                     const std::uint8_t* mask, int mask_stride, Color c) {
+  for (int y = 0; y < H; ++y) {
+    Color* dst = dst0 + y * stride;
+    const std::uint8_t* m =
+        mask + static_cast<std::ptrdiff_t>(y) * mask_stride;
+    for (int x = 0; x < W; ++x) {
+      dst[x] = m[x] != 0 ? c : dst[x];
+    }
+  }
+}
+
+constexpr std::uint64_t size_key(int w, int h) {
+  return static_cast<std::uint64_t>(w) << 32 | static_cast<std::uint32_t>(h);
+}
+
+}  // namespace
 
 void draw_line(Raster& img, int x0, int y0, int x1, int y1, Color c) {
   int dx = std::abs(x1 - x0);
@@ -164,6 +193,54 @@ void draw_marker(Raster& img, int cx, int cy, MarkerShape shape, Color c,
       draw_line(img, cx + r, cy + r, cx - r, cy + r, c);
       draw_line(img, cx - r, cy + r, cx, cy - r, c);
       break;
+  }
+}
+
+void blit_mask(Raster& img, int x, int y, const std::uint8_t* mask,
+               int mask_stride, int w, int h, Color c) {
+  const int x0 = std::max(x, 0);
+  const int y0 = std::max(y, 0);
+  const int x1 = std::min(x + w, img.width());
+  const int y1 = std::min(y + h, img.height());
+  if (x0 >= x1 || y0 >= y1) return;
+  const std::ptrdiff_t stride = img.width();
+  Color* dst0 = img.data().data() + y0 * stride + x0;
+  if (x0 == x && y0 == y && x1 == x + w && y1 == y + h) {
+    constexpr int gw = kGlyphWidth;
+    constexpr int gh = kGlyphHeight;
+    switch (size_key(w, h)) {
+      case size_key(3, 3):
+        return blit_mask_fixed<3, 3>(dst0, stride, mask, mask_stride, c);
+      case size_key(5, 5):
+        return blit_mask_fixed<5, 5>(dst0, stride, mask, mask_stride, c);
+      case size_key(7, 7):
+        return blit_mask_fixed<7, 7>(dst0, stride, mask, mask_stride, c);
+      case size_key(9, 9):
+        return blit_mask_fixed<9, 9>(dst0, stride, mask, mask_stride, c);
+      case size_key(gw, gh):
+        return blit_mask_fixed<gw, gh>(dst0, stride, mask, mask_stride, c);
+      case size_key(2 * gw, 2 * gh):
+        return blit_mask_fixed<2 * gw, 2 * gh>(dst0, stride, mask,
+                                               mask_stride, c);
+      case size_key(3 * gw, 3 * gh):
+        return blit_mask_fixed<3 * gw, 3 * gh>(dst0, stride, mask,
+                                               mask_stride, c);
+      case size_key(4 * gw, 4 * gh):
+        return blit_mask_fixed<4 * gw, 4 * gh>(dst0, stride, mask,
+                                               mask_stride, c);
+      default:
+        break;
+    }
+  }
+  const std::uint8_t* mask0 =
+      mask + (y0 - y) * static_cast<std::ptrdiff_t>(mask_stride) + (x0 - x);
+  for (int row = 0; row < y1 - y0; ++row) {
+    Color* dst = dst0 + row * stride;
+    const std::uint8_t* m =
+        mask0 + row * static_cast<std::ptrdiff_t>(mask_stride);
+    for (int i = 0; i < x1 - x0; ++i) {
+      if (m[i] != 0) dst[i] = c;
+    }
   }
 }
 

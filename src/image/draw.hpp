@@ -8,6 +8,8 @@
 /// Compositor relies on this when estimated locations land outside
 /// the floor plan.
 
+#include <cstdint>
+
 #include "image/raster.hpp"
 
 namespace loctk::image {
@@ -51,5 +53,14 @@ void fill_circle(Raster& img, int cx, int cy, int radius, Color c);
 /// One marker glyph centered at (cx, cy) with half-size `r`.
 void draw_marker(Raster& img, int cx, int cy, MarkerShape shape, Color c,
                  int r = 4);
+
+/// Paints `c` over each pixel of the w x h window with top-left corner
+/// (x, y) whose mask byte is nonzero; mask rows are `mask_stride` bytes
+/// apart. Clipped to the raster. Prerendered marker stamps and atlas
+/// glyphs draw through this: an unclipped 3/5/7/9-px square or
+/// 5x7 * scale (scale 1..4) window takes a blit with compile-time
+/// bounds, which the optimizer fully unrolls.
+void blit_mask(Raster& img, int x, int y, const std::uint8_t* mask,
+               int mask_stride, int w, int h, Color c);
 
 }  // namespace loctk::image

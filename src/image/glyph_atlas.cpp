@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "image/draw.hpp"
+
 namespace loctk::image {
 
 namespace {
@@ -192,23 +194,8 @@ void GlyphAtlas::blit_glyph(Raster& img, int x, int y, char ch, Color c,
     draw_char(img, x, y, ch, c, scale);
     return;
   }
-  const int x0 = std::max(x, 0);
-  const int y0 = std::max(y, 0);
-  const int x1 = std::min(x + glyph->w, img.width());
-  const int y1 = std::min(y + glyph->h, img.height());
-  if (x0 >= x1 || y0 >= y1) return;
-  Color* data = img.data().data();
-  for (int yy = y0; yy < y1; ++yy) {
-    const std::uint8_t* mask =
-        row(glyph->y + (yy - y)) + glyph->x + (x0 - x);
-    Color* dst = data + static_cast<std::size_t>(yy) *
-                            static_cast<std::size_t>(img.width()) +
-                 static_cast<std::size_t>(x0);
-    const int span = x1 - x0;
-    for (int i = 0; i < span; ++i) {
-      if (mask[i] != 0) dst[i] = c;
-    }
-  }
+  blit_mask(img, x, y, row(glyph->y) + glyph->x, width_, glyph->w, glyph->h,
+            c);
 }
 
 int draw_text_atlas(Raster& img, int x, int y, std::string_view text,

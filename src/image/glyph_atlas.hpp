@@ -14,9 +14,9 @@
 /// replacement box) at integer scales 1..kAtlasMaxScale, placed by a
 /// node-tree rect packer (the classic lightmap-packer recursion: each
 /// leaf either holds a rect or splits into a right and a bottom
-/// remainder). Drawing a string is then a per-character mask blit —
-/// one clipped row loop over prerendered bytes, no per-pixel font
-/// lookup and no per-pixel scale arithmetic.
+/// remainder). Drawing a string is then a per-character `blit_mask`
+/// over prerendered bytes, no per-pixel font lookup and no per-pixel
+/// scale arithmetic.
 ///
 /// `draw_text_atlas` is pixel-identical to `draw_text` by
 /// construction: the page is rasterized from the same `glyph_pixel`
@@ -94,7 +94,7 @@ struct AtlasGlyph {
 
 /// A packed page of prerendered glyph masks plus the per-glyph UV
 /// table. Immutable after construction, so one instance is safely
-/// shared across every compositor tile and thread.
+/// shared across threads.
 class GlyphAtlas {
  public:
   /// One requested (character, scale) pair. Characters outside the

@@ -9,9 +9,9 @@
 /// floor AP with its label, and a marker for every device's
 /// ground-truth position at that tick. `FleetFrameBuilder` turns a
 /// campus `Scenario` + `ScanTrace` into `FleetFrameSpec` draw lists
-/// the tile-parallel `FleetCompositor` renders: the expensive static
-/// layer (heat cells, outlines, AP labels) is built once, then each
-/// tick's frame appends only that tick's device markers.
+/// the `FleetCompositor` renders: the expensive static layer (heat
+/// cells, outlines, AP labels) is built once, then each tick's frame
+/// appends only that tick's device markers.
 ///
 /// Coordinates: campus feet map to pixels as
 ///   px = margin_px + round(ft * px_per_ft)

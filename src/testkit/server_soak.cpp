@@ -224,9 +224,7 @@ ServerSoakResult run_server_soak(const ServerSoakConfig& config) {
       !scenarios.empty()) {
     std::filesystem::create_directories(config.frames_dir);
     const FleetFrameBuilder frames(*scenarios[0]);
-    floorplan::FleetCompositorOptions compositor_options;
-    compositor_options.pool = &pool;
-    const floorplan::FleetCompositor compositor(compositor_options);
+    const floorplan::FleetCompositor compositor;
     const std::size_t every = std::max<std::size_t>(1, config.frame_every_ticks);
     const std::size_t ticks = frames.tick_count(traces[0]);
     for (std::size_t tick = 0; tick < ticks; tick += every) {

@@ -73,8 +73,8 @@ struct ServerSoakConfig {
   double max_p99_on_scan_s = 0.25;
   /// When non-empty and the first site is a campus, render a
   /// per-tick fleet frame of that site (coverage heat + AP labels +
-  /// device ground-truth markers) through the tile-parallel
-  /// `FleetCompositor` and write `frame-NNNN.bmp` files here.
+  /// device ground-truth markers) through `FleetCompositor::render`
+  /// and write `frame-NNNN.bmp` files here.
   std::string frames_dir;
   /// Emit every Nth tick (1 = every tick).
   std::size_t frame_every_ticks = 1;

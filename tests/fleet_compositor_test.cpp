@@ -1,11 +1,7 @@
-// The tile-parallel fleet compositor: byte-determinism across thread
-// counts and tile sizes, and byte-identity against the serial
-// single-pass reference built from the legacy per-call primitives.
-//
-// The determinism argument (docs/VISUALIZATION.md) is "by
-// construction": tiles partition the raster, ops replay per tile in
-// global op order, so neither scheduling nor tile geometry can change
-// a single byte. These tests are what keep the construction honest.
+// The fleet compositor's one pass against the serial reference built
+// from the legacy per-call primitives: byte-identical on a dense frame
+// exercising every op kind and every blit path, on degenerate frames,
+// and on every tick of a small campus scenario.
 
 #include "floorplan/fleet_compositor.hpp"
 
@@ -13,7 +9,6 @@
 
 #include <vector>
 
-#include "concurrency/thread_pool.hpp"
 #include "stats/rng.hpp"
 #include "testkit/fleet_frame.hpp"
 #include "testkit/scenario.hpp"
@@ -40,27 +35,29 @@ namespace {
 }
 
 /// A frame exercising every op kind, with overlap (later ops must
-/// win) and plenty of geometry straddling 64px tile boundaries.
+/// win), clipping at the raster edges, and every blit size the
+/// compositor unrolls: 3/5/7/9-px marker stamps and scale 1-4 glyphs,
+/// plus a scale-5 label, which the atlas does not hold.
 FleetFrameSpec dense_frame() {
   FleetFrameSpec spec;
   spec.width = 300;
   spec.height = 200;
   spec.background = image::colors::kWhite;
 
-  // Overlapping heat cells crossing tile edges.
+  // Overlapping heat cells, one clipped.
   spec.add_fill_rect(40, 40, 60, 50, image::colors::kYellow);
   spec.add_fill_rect(60, 60, 60, 50, image::colors::kOrange);
   spec.add_fill_rect(-20, 180, 80, 60, image::colors::kCyan);  // clipped
   spec.add_rect(10, 10, 280, 180, image::colors::kBlack);
   spec.add_rect(62, 62, 4, 4, image::colors::kPurple);
 
-  // Lines crossing many tiles, plus a dashed one.
+  // Lines across the frame, plus a dashed one.
   spec.add_line(0, 0, 299, 199, image::colors::kBlue);
   spec.add_line(299, 0, 0, 199, image::colors::kRed, /*dashed=*/true, 5, 3);
   spec.add_line(128, -10, 128, 210, image::colors::kDarkGray);
 
-  // Markers of every shape, deliberately centered on and near the
-  // 64px tile boundaries (and the raster edges).
+  // Markers of every shape at radii 2-5, scattered over the frame and
+  // past its edges.
   const image::MarkerShape shapes[] = {
       image::MarkerShape::kCross,        image::MarkerShape::kX,
       image::MarkerShape::kSquare,       image::MarkerShape::kFilledSquare,
@@ -82,53 +79,32 @@ FleetFrameSpec dense_frame() {
     spec.add_marker(b - 1, 128, shapes[shape_index++ % 8],
                     image::colors::kBlue, 5);
   }
+  // Radius 1, the 3x3 stamp: every shape inside the frame, and one
+  // clipped at the right edge.
+  for (int s = 0; s < 8; ++s) {
+    spec.add_marker(20 + 9 * s, 150, shapes[s], image::colors::kPurple, 1);
+  }
+  spec.add_marker(299, 150, image::MarkerShape::kFilledSquare,
+                  image::colors::kPurple, 1);
 
-  // Labels at every scale, straddling tile seams and raster edges.
+  // Labels at every atlas scale, clipped at the left, top and
+  // bottom-right edges, and one past the atlas (the per-pixel path).
   spec.add_text(60, 60, "B0F0-AP17", image::colors::kBlack, 1);
   spec.add_text(120, 120, "seam\nstraddler", image::colors::kRed, 2);
   spec.add_text(-8, 100, "left clip", image::colors::kBlue, 3);
   spec.add_text(280, 190, "corner", image::colors::kDarkGray, 4);
   spec.add_text(100, -5, "top clip", image::colors::kPurple, 1);
+  spec.add_text(150, 20, "X5", image::colors::kGreen, 5);
   return spec;
 }
 
-// The core identity: the tiled path produces the same bytes as the
-// serial legacy-primitive reference.
-TEST(FleetCompositor, TiledMatchesSerialReference) {
+// The core identity: the one-pass render produces the same bytes as
+// the serial legacy-primitive reference.
+TEST(FleetCompositor, RenderMatchesSerialReference) {
   const FleetFrameSpec spec = dense_frame();
   const FleetCompositor compositor;
   EXPECT_TRUE(same_raster(compositor.render(spec),
                           compositor.render_serial(spec)));
-}
-
-// Byte-identical across thread counts {1, 2, 8}.
-TEST(FleetCompositor, DeterministicAcrossThreadCounts) {
-  const FleetFrameSpec spec = dense_frame();
-  const FleetCompositor reference;
-  const image::Raster expected = reference.render_serial(spec);
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    concurrency::ThreadPool pool(threads);
-    FleetCompositorOptions options;
-    options.pool = &pool;
-    const FleetCompositor compositor(options);
-    EXPECT_TRUE(same_raster(compositor.render(spec), expected))
-        << threads << " threads";
-  }
-}
-
-// Byte-identical across tile sizes, including degenerate ones (1px
-// tiles, tiles larger than the frame, non-divisor sizes).
-TEST(FleetCompositor, DeterministicAcrossTileSizes) {
-  const FleetFrameSpec spec = dense_frame();
-  const FleetCompositor reference;
-  const image::Raster expected = reference.render_serial(spec);
-  for (const int tile_px : {1, 7, 16, 64, 100, 4096}) {
-    FleetCompositorOptions options;
-    options.tile_px = tile_px;
-    const FleetCompositor compositor(options);
-    EXPECT_TRUE(same_raster(compositor.render(spec), expected))
-        << "tile_px " << tile_px;
-  }
 }
 
 TEST(FleetCompositor, EmptyAndDegenerateFrames) {
@@ -143,9 +119,8 @@ TEST(FleetCompositor, EmptyAndDegenerateFrames) {
   EXPECT_EQ(out.at(32, 16), image::colors::kCyan);
 }
 
-// A real (small) campus frame, per-tick, with devices walking across
-// tile boundaries: tiled output equals the serial reference on every
-// tick, across thread counts.
+// A real (small) campus frame, per tick, with devices walking across
+// the plate: render equals the serial reference on every tick.
 TEST(FleetCompositor, CampusFrameDeterministicAcrossThreads) {
   radio::CampusSpec campus;
   campus.buildings = 2;
@@ -166,19 +141,12 @@ TEST(FleetCompositor, CampusFrameDeterministicAcrossThreads) {
   ASSERT_GT(frames.tick_count(trace), 0u);
   ASSERT_GT(frames.base().ops.size(), 10u);
 
-  const FleetCompositor reference;
+  const FleetCompositor compositor;
   for (std::size_t tick = 0; tick < frames.tick_count(trace); ++tick) {
     const FleetFrameSpec frame = frames.frame(trace, tick);
-    const image::Raster expected = reference.render_serial(frame);
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-      concurrency::ThreadPool pool(threads);
-      FleetCompositorOptions options;
-      options.pool = &pool;
-      options.tile_px = 48;  // not a divisor of the frame size
-      const FleetCompositor compositor(options);
-      EXPECT_TRUE(same_raster(compositor.render(frame), expected))
-          << "tick " << tick << ", " << threads << " threads";
-    }
+    EXPECT_TRUE(same_raster(compositor.render(frame),
+                            compositor.render_serial(frame)))
+        << "tick " << tick;
   }
 }
 
