@@ -393,7 +393,8 @@ void BM_CompileCollection_Direct(benchmark::State& state) {
   const wiscan::Collection collection =
       wiscan::load_collection(c.dir / "scans");
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::compile_collection(collection, c.map));
+    benchmark::DoNotOptimize(core::CompiledDatabase::compile_owned(
+        traindb::generate_database(collection, c.map)));
   }
 }
 BENCHMARK(BM_CompileCollection_Direct)
@@ -434,6 +435,9 @@ BENCHMARK(BM_CodecLoad_ReadFileBytes)
     ->Apply(bench::wall_clock)
     ->Unit(benchmark::kMillisecond);
 
+// A served load from a `.ltdb`: decode, then compile the database
+// borrowed (TwoStep; the caller keeps it alive) or owned (Direct;
+// `compile_owned` moves it into the compilation).
 void BM_ServeLoad_TwoStep(benchmark::State& state) {
   const IngestCorpus& c = corpus();
   for (auto _ : state) {
@@ -449,7 +453,8 @@ BENCHMARK(BM_ServeLoad_TwoStep)
 void BM_ServeLoad_Direct(benchmark::State& state) {
   const IngestCorpus& c = corpus();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::load_compiled_database(c.ltdb_stats));
+    benchmark::DoNotOptimize(core::CompiledDatabase::compile_owned(
+        traindb::read_database(c.ltdb_stats)));
   }
 }
 BENCHMARK(BM_ServeLoad_Direct)

@@ -6,7 +6,9 @@
 //
 // The office corpus matches perf_score_kernel (120x80 ft, 6 APs, 5-ft
 // grid); every site snapshot is a §5.1 probabilistic locator — the
-// production serve configuration.
+// production serve configuration. Every row is timed on the wall clock
+// with 5 repetitions (bench::wall_clock); BENCH_serve.json records the
+// aggregates of one run.
 
 #include <benchmark/benchmark.h>
 
@@ -114,7 +116,7 @@ void BM_ServerOnScan(benchmark::State& state) {
 }
 BENCHMARK(BM_ServerOnScan)
     ->Threads(1)->Threads(2)->Threads(4)->Threads(8)
-    ->UseRealTime()->Unit(benchmark::kMicrosecond);
+    ->Apply(bench::wall_clock)->Unit(benchmark::kMicrosecond);
 
 // Same traffic with hot swaps landing throughout: a dedicated swapper
 // republishes every site as fast as the grace periods allow while the
@@ -169,7 +171,7 @@ void BM_ServerOnScan_SwapStorm(benchmark::State& state) {
 }
 BENCHMARK(BM_ServerOnScan_SwapStorm)
     ->Threads(1)->Threads(2)->Threads(4)->Threads(8)
-    ->UseRealTime()->Unit(benchmark::kMicrosecond);
+    ->Apply(bench::wall_clock)->Unit(benchmark::kMicrosecond);
 
 // One full hot swap: grace period (idle here), snapshot allocation,
 // pointer publication, retire, reclaim. Locator construction is
@@ -188,7 +190,8 @@ void BM_SwapSite(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_SwapSite)->Unit(benchmark::kNanosecond);
+BENCHMARK(BM_SwapSite)
+    ->Apply(bench::wall_clock)->Unit(benchmark::kNanosecond);
 
 // The wait-free reader pin by itself: one CAS to claim a slot, one
 // store to release it. This is the entire synchronization cost a scan
@@ -203,7 +206,7 @@ void BM_EpochPin(benchmark::State& state) {
 }
 BENCHMARK(BM_EpochPin)
     ->Threads(1)->Threads(4)->Threads(8)
-    ->UseRealTime()->Unit(benchmark::kNanosecond);
+    ->Apply(bench::wall_clock)->Unit(benchmark::kNanosecond);
 
 // Lock-free session lookup on a warm table (the steady-state path —
 // creation happens once per device lifetime).
@@ -230,7 +233,7 @@ void BM_SessionLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_SessionLookup)
     ->Threads(1)->Threads(4)
-    ->UseRealTime()->Unit(benchmark::kNanosecond);
+    ->Apply(bench::wall_clock)->Unit(benchmark::kNanosecond);
 
 }  // namespace
 

@@ -1,18 +1,21 @@
 // SOAK_FLEET — the scheduled-CI fleet soak driver.
 //
 // Synthesizes a fleet scenario (device count, scans per device, and
-// seed from the command line), records its scan trace, replays it
-// through per-device `LocationService` sessions on the default thread
-// pool, and checks the full metric-invariant battery. Artifacts:
+// seed from the command line) with the standing fault schedule,
+// records its scan trace, replays it through a one-site
+// `LocationServer` on the default thread pool with snapshot swap waves
+// landing under load (testkit/server_soak), and checks the full
+// invariant battery. Artifacts:
 //
 //   --report PATH    deterministic run-report JSON (replay-comparable)
 //   --metrics PATH   process metrics-registry snapshot JSON
+//   --trace PATH     the recorded scan trace (.ltrc)
 //
-// `--server` switches to the server-level soak (testkit/server_soak):
-// the fleet is split across `--sites` venues, every scan routes
-// through a multi-tenant `LocationServer`, and snapshot swap waves
-// land throughout the replay. `--devices` stays the *total* fleet
-// size, so the nightly job can say `--server --devices 10000`.
+// `--server` switches to the multi-site soak: the fleet is split
+// across `--sites` venues, each its own shard of one server.
+// `--devices` stays the *total* fleet size, so the nightly job can say
+// `--server --devices 10000`. `--swap-every` sets the swap-wave
+// spacing in either leg.
 //
 // `--campus` runs the classic leg on a generated multi-building campus
 // (1000+ APs, per-floor attenuation, heterogeneous device offsets)
@@ -34,11 +37,9 @@
 #include <thread>
 
 #include "base/metrics.hpp"
-#include "core/probabilistic.hpp"
 #include "testkit/drift.hpp"
 #include "testkit/scenario.hpp"
 #include "testkit/server_soak.hpp"
-#include "testkit/soak.hpp"
 #include "testkit/trace.hpp"
 
 using namespace loctk;
@@ -138,32 +139,9 @@ void write_text_file(const std::string& path, const std::string& body) {
   std::printf("wrote %s\n", path.c_str());
 }
 
-/// The `--server` leg: total fleet split across `--sites` shards of a
-/// LocationServer, swap waves landing under load, full invariant
-/// battery from testkit/server_soak. Same artifact flags as the
-/// classic leg; the combined (cross-site, deterministic) report is
-/// what `--report` writes.
-int run_server_mode(const Options& opt) {
-  testkit::ServerSoakConfig config;
-  config.sites = opt.sites;
-  config.devices_per_site =
-      std::max<std::size_t>(1, opt.devices / opt.sites);
-  config.scans_per_device = opt.scans;
-  config.seed = opt.seed;
-  config.swap_every_scans = opt.swap_every;
-  config.max_p99_on_scan_s = opt.max_p99_s;
-  config.campus_sites =
-      opt.campus ? config.sites : std::min(opt.campus_sites, config.sites);
-  config.frames_dir = opt.frames_dir;
-  config.frame_every_ticks = std::max<std::size_t>(1, opt.frame_every);
-
-  std::printf(
-      "soak_fleet --server: %zu sites x %zu devices x %d scans, seed %llu"
-      " (%zu campus)\n",
-      config.sites, config.devices_per_site, config.scans_per_device,
-      static_cast<unsigned long long>(config.seed), config.campus_sites);
-  const testkit::ServerSoakResult result = testkit::run_server_soak(config);
-
+/// Prints `result`, writes the artifact files, and returns the exit
+/// status: 0 only when every invariant held.
+int finish(const testkit::SoakResult& result, const Options& opt) {
   std::fputs(result.report.to_text().c_str(), stdout);
   std::printf(
       "  wall %.2fs   on_scan mean %.1fus   p99 %.1fus\n"
@@ -196,8 +174,68 @@ int run_server_mode(const Options& opt) {
   std::printf("all invariants held (%zu scans, %zu devices, %zu sites)\n",
               result.report.scans_replayed,
               static_cast<std::size_t>(result.report.device_count),
-              config.sites);
+              result.site_reports.size());
   return 0;
+}
+
+/// The classic leg: one synthesized fleet (or `--campus` site) as a
+/// one-site soak; `--trace` writes its recorded scan trace.
+int run_fleet_mode(const Options& opt) {
+  testkit::ScenarioSpec spec =
+      opt.campus
+          ? testkit::ScenarioSpec::campus_fleet(opt.devices, opt.scans,
+                                                opt.seed)
+          : testkit::ScenarioSpec::fleet(opt.devices, opt.scans, opt.seed);
+  if (opt.campus) {
+    // A campus survey covers 240 rooms x 1020 APs; the single-site
+    // default of 90 scans per room would spend the soak budget on
+    // synthesis rather than replay.
+    spec.train_scans = 12;
+  }
+  testkit::add_fault_schedule(spec);
+
+  std::printf("soak_fleet: %zu devices x %d scans, seed %llu\n", opt.devices,
+              opt.scans, static_cast<unsigned long long>(opt.seed));
+  const testkit::Scenario scenario(spec);
+  const testkit::ScanTrace trace = scenario.record_trace();
+  std::printf("recorded trace: %zu scans (%zu bytes encoded)\n",
+              trace.scans.size(), testkit::encode_trace(trace).size());
+  if (!opt.trace_path.empty()) {
+    testkit::write_trace(opt.trace_path, trace);
+    std::printf("wrote %s\n", opt.trace_path.c_str());
+  }
+
+  testkit::SoakConfig config;
+  config.swap_every_scans = opt.swap_every;
+  config.max_p99_on_scan_s = opt.max_p99_s;
+  return finish(testkit::run_soak({{trace, scenario.database()}},
+                                  trace.scenario, config),
+                opt);
+}
+
+/// The `--server` leg: total fleet split across `--sites` shards of
+/// one LocationServer. The combined (cross-site, deterministic) report
+/// is what `--report` writes.
+int run_server_mode(const Options& opt) {
+  testkit::ServerSoakConfig config;
+  config.sites = opt.sites;
+  config.devices_per_site =
+      std::max<std::size_t>(1, opt.devices / opt.sites);
+  config.scans_per_device = opt.scans;
+  config.seed = opt.seed;
+  config.swap_every_scans = opt.swap_every;
+  config.max_p99_on_scan_s = opt.max_p99_s;
+  config.campus_sites =
+      opt.campus ? config.sites : std::min(opt.campus_sites, config.sites);
+  config.frames_dir = opt.frames_dir;
+  config.frame_every_ticks = std::max<std::size_t>(1, opt.frame_every);
+
+  std::printf(
+      "soak_fleet --server: %zu sites x %zu devices x %d scans, seed %llu"
+      " (%zu campus)\n",
+      config.sites, config.devices_per_site, config.scans_per_device,
+      static_cast<unsigned long long>(config.seed), config.campus_sites);
+  return finish(testkit::run_server_soak(config), opt);
 }
 
 /// The `--drift` leg: full decay-and-recovery arcs through the
@@ -242,73 +280,5 @@ int main(int argc, char** argv) {
     return server_rc != 0 ? server_rc : drift_rc;
   }
   if (opt.server) return run_server_mode(opt);
-
-  testkit::ScenarioSpec spec =
-      opt.campus
-          ? testkit::ScenarioSpec::campus_fleet(opt.devices, opt.scans,
-                                                opt.seed)
-          : testkit::ScenarioSpec::fleet(opt.devices, opt.scans, opt.seed);
-  if (opt.campus) {
-    // A campus survey covers 240 rooms x 1020 APs; the single-site
-    // default of 90 scans per room would spend the soak budget on
-    // synthesis rather than replay.
-    spec.train_scans = 12;
-  }
-  // The standing fault schedule: NaN bursts, lost scans, and vanished
-  // strongest-AP rows spread across the fleet, so rejection and
-  // degraded coasting stay load-bearing parts of every soak.
-  for (std::uint32_t d = 0; d < opt.devices; d += 7) {
-    spec.faults.push_back({.device = d, .scan_index = (d % 13) + 3,
-                           .kind = testkit::FaultEvent::Kind::kNonFiniteRssi});
-  }
-  for (std::uint32_t d = 3; d < opt.devices; d += 11) {
-    spec.faults.push_back({.device = d, .scan_index = (d % 17) + 2,
-                           .kind = testkit::FaultEvent::Kind::kDropScan});
-  }
-  for (std::uint32_t d = 5; d < opt.devices; d += 9) {
-    spec.faults.push_back(
-        {.device = d, .scan_index = (d % 19) + 1,
-         .kind = testkit::FaultEvent::Kind::kDropStrongestAp});
-  }
-
-  std::printf("soak_fleet: %zu devices x %d scans, seed %llu\n", opt.devices,
-              opt.scans, static_cast<unsigned long long>(opt.seed));
-  const testkit::Scenario scenario(spec);
-  const testkit::ScanTrace trace = scenario.record_trace();
-  std::printf("recorded trace: %zu scans (%zu bytes encoded)\n",
-              trace.scans.size(), testkit::encode_trace(trace).size());
-  if (!opt.trace_path.empty()) {
-    testkit::write_trace(opt.trace_path, trace);
-    std::printf("wrote %s\n", opt.trace_path.c_str());
-  }
-
-  const core::ProbabilisticLocator locator(scenario.database());
-  testkit::SoakConfig config;
-  config.max_p99_on_scan_s = opt.max_p99_s;
-  const testkit::SoakResult result =
-      testkit::run_fleet_soak(trace, locator, config);
-
-  std::fputs(result.report.to_text().c_str(), stdout);
-  std::printf("  wall %.2fs   on_scan mean %.1fus   p99 %.1fus\n",
-              result.wall_s, 1e6 * result.mean_on_scan_s,
-              1e6 * result.p99_on_scan_s);
-
-  if (!opt.report_path.empty()) {
-    write_text_file(opt.report_path, result.report.to_json());
-  }
-  if (!opt.metrics_path.empty()) {
-    write_text_file(opt.metrics_path,
-                    metrics::MetricsRegistry::global().snapshot().to_json());
-  }
-
-  if (!result.ok()) {
-    for (const std::string& v : result.violations) {
-      std::fprintf(stderr, "INVARIANT VIOLATION: %s\n", v.c_str());
-    }
-    return 1;
-  }
-  std::printf("all invariants held (%zu scans, %zu devices)\n",
-              result.report.scans_replayed,
-              static_cast<std::size_t>(result.report.device_count));
-  return 0;
+  return run_fleet_mode(opt);
 }

@@ -8,7 +8,6 @@
 #include <unordered_map>
 
 #include "base/string_hash.hpp"
-#include "traindb/codec.hpp"
 
 namespace loctk::core {
 
@@ -252,23 +251,6 @@ void CompiledDatabase::compile_observation_into(
       ++q.outside_universe;
     }
   }
-}
-
-std::shared_ptr<const CompiledDatabase> compile_collection(
-    const wiscan::Collection& collection, const wiscan::LocationMap& map,
-    const traindb::GeneratorConfig& config,
-    traindb::GeneratorReport* report, concurrency::ThreadPool* pool) {
-  traindb::TrainingDatabase db =
-      pool != nullptr
-          ? traindb::generate_database_parallel(collection, map, *pool,
-                                                config, report)
-          : traindb::generate_database(collection, map, config, report);
-  return CompiledDatabase::compile_owned(std::move(db));
-}
-
-std::shared_ptr<const CompiledDatabase> load_compiled_database(
-    const std::filesystem::path& path) {
-  return CompiledDatabase::compile_owned(traindb::read_database(path));
 }
 
 }  // namespace loctk::core

@@ -18,7 +18,6 @@
 /// `std::shared_ptr<const CompiledDatabase>`.
 
 #include <cstdint>
-#include <filesystem>
 #include <memory>
 #include <optional>
 #include <span>
@@ -29,7 +28,6 @@
 #include "base/simd.hpp"
 #include "core/observation.hpp"
 #include "traindb/database.hpp"
-#include "traindb/generator.hpp"
 
 namespace loctk::core {
 
@@ -242,24 +240,5 @@ class CompiledDatabase {
   /// so a probe ends at an empty cell; indexed by the hash's low bits.
   std::vector<IndexCell> index_;
 };
-
-/// Direct ingest-to-serve build: aggregates a wi-scan collection into
-/// training points (fanned out over `pool` when given), interns the
-/// BSSID universe in one bulk pass, and compiles the dense matrices —
-/// the string-keyed TrainingDatabase exists only as the owned
-/// interior of the result, never as a separately managed intermediate.
-/// Exactly equivalent to generate_database(...) + compile(...).
-std::shared_ptr<const CompiledDatabase> compile_collection(
-    const wiscan::Collection& collection, const wiscan::LocationMap& map,
-    const traindb::GeneratorConfig& config = {},
-    traindb::GeneratorReport* report = nullptr,
-    concurrency::ThreadPool* pool = nullptr);
-
-/// Serve-path bootstrap: maps a `.ltdb` file read-only, decodes it
-/// out of the mapped buffer, and compiles — one call from cold disk
-/// to scoring-ready matrices. Throws traindb::CodecError on
-/// missing/corrupt input.
-std::shared_ptr<const CompiledDatabase> load_compiled_database(
-    const std::filesystem::path& path);
 
 }  // namespace loctk::core

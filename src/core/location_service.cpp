@@ -51,12 +51,6 @@ LocationService::LocationService(const Locator& locator,
   locator_ = &locator;
 }
 
-LocationService::LocationService(std::shared_ptr<const Locator> locator,
-                                 LocationServiceConfig config)
-    : LocationService(*locator, config) {
-  owned_locator_ = std::move(locator);
-}
-
 const Locator& LocationService::bound_locator() const {
   if (!locator_) {
     throw std::logic_error(
@@ -70,16 +64,6 @@ std::vector<LocationEstimate> LocationService::locate_batch(
     std::span<const Observation> observations,
     concurrency::ThreadPool* pool) const {
   return bound_locator().locate_batch(observations, pool);
-}
-
-std::vector<ServiceFix> LocationService::replay(
-    std::span<const radio::ScanRecord> scans) {
-  std::vector<ServiceFix> fixes;
-  fixes.reserve(scans.size());
-  for (const radio::ScanRecord& scan : scans) {
-    fixes.push_back(on_scan(scan));
-  }
-  return fixes;
 }
 
 Result<LocationEstimate> LocationService::try_locate(

@@ -26,7 +26,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -79,13 +78,6 @@ class LocationService {
   LocationService(const Locator& locator,
                   LocationServiceConfig config = {});
 
-  /// Owning form for the direct ingest-to-serve path: the service
-  /// shares ownership of the locator, so a caller can build
-  /// `load_compiled_database` → locator → service and let the service
-  /// be the only live handle.
-  LocationService(std::shared_ptr<const Locator> locator,
-                  LocationServiceConfig config = {});
-
   /// Unbound form for the snapshot-serving path: the service owns only
   /// the per-client state (window, Kalman track, debounce) and each
   /// scan supplies the locator via the on_scan(locator, scan) overload
@@ -120,15 +112,8 @@ class LocationService {
   std::size_t rejected_samples() const { return rejected_samples_; }
 
   /// Scans fed through on_scan() over the service's lifetime (survives
-  /// reset(), like rejected_samples()). The soak harness checks its
-  /// fix-count invariants against this instead of trusting the caller
-  /// to have counted correctly.
+  /// reset(), like rejected_samples()).
   std::size_t scans_seen() const { return scans_seen_; }
-
-  /// Replays a recorded scan stream through on_scan(), one fix per
-  /// scan in order — the testkit's per-device soak path. The returned
-  /// vector always has scans.size() entries (invalid fixes included).
-  std::vector<ServiceFix> replay(std::span<const radio::ScanRecord> scans);
 
   /// Bulk entry point: scores a batch of independent, already-windowed
   /// observations (e.g. one per connected client) through this
@@ -212,8 +197,6 @@ class LocationService {
     return k < window_.size() ? k : k - window_.size();
   }
 
-  /// Set only by the owning constructor; locator_ then points into it.
-  std::shared_ptr<const Locator> owned_locator_;
   const Locator* locator_;  // non-owning; nullptr when unbound
   LocationServiceConfig config_;
   /// Ring of the last window_scans scans; grows lazily, never

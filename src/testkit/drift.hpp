@@ -28,8 +28,8 @@
 ///     and the delta-compilation must be bit-exact against a
 ///     from-scratch rebuild (`compare_compiled_databases`).
 ///
-/// Violations are collected, not thrown, in the style of
-/// soak.hpp/server_soak.hpp; `DriftSoakResult::ok()` is the gate the
+/// Violations are collected, not thrown, in the style of the soak
+/// harness (server_soak.hpp); `DriftSoakResult::ok()` is the gate the
 /// conformance suite and the nightly `soak_fleet --drift` leg assert.
 
 #include <cstdint>

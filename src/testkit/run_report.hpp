@@ -4,11 +4,12 @@
 /// The deterministic output of a soak/replay run.
 ///
 /// A `RunReport` is everything about a fleet replay that must NOT
-/// depend on thread count, scheduling, or wall clock: scan/fix/reject
-/// tallies and the sorted per-fix error list (the accuracy CDF). Two
-/// replays of the same trace produce `==`-equal reports — that is the
-/// bit-for-bit acceptance gate — so anything timing-flavored (locate
-/// latency percentiles) lives in `SoakResult` beside the report, never
+/// depend on thread count, scheduling, swap timing, or wall clock:
+/// scan/fix/reject tallies and the sorted per-fix error list (the
+/// accuracy CDF). Two replays of the same trace produce `==`-equal
+/// reports — that is the bit-for-bit acceptance gate — so anything
+/// timing-flavored (on_scan latency percentiles) lives in the soak
+/// harness's `SoakResult` (server_soak.hpp) beside the report, never
 /// inside it. Serialization (`to_json`) prints doubles with %.17g so
 /// the artifact round-trips the exact values CI compared.
 
@@ -22,7 +23,7 @@ namespace loctk::testkit {
 struct RunReport {
   std::string scenario;
   std::uint32_t device_count = 0;
-  /// Scans fed to the per-device services (== trace scan count).
+  /// Scans fed to the devices' sessions (== trace scan count).
   std::uint64_t scans_replayed = 0;
   /// Fixes with fix.valid, split into fresh and Kalman-coasted.
   std::uint64_t valid_fixes = 0;

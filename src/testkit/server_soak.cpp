@@ -16,8 +16,6 @@
 #include "image/codec_bmp.hpp"
 #include "serve/location_server.hpp"
 #include "testkit/fleet_frame.hpp"
-#include "testkit/scenario.hpp"
-#include "testkit/trace.hpp"
 
 namespace loctk::testkit {
 
@@ -30,20 +28,21 @@ double seconds_since(Clock::time_point start) {
 }
 
 /// Per-(site, device) tallies, written only by the worker replaying
-/// that device and merged in (site, device) order afterwards.
+/// that device and merged in (site, device) order afterwards — the
+/// report never sees scheduling order.
 struct DeviceSlot {
   std::uint64_t valid = 0;
   std::uint64_t degraded = 0;
   std::uint64_t invalid = 0;
-  std::vector<double> errors_ft;
-  std::vector<double> on_scan_s;
+  std::vector<double> errors_ft;  // fresh valid fixes, scan order
+  std::vector<double> on_scan_s;  // per-scan latency
 };
 
-std::string format_violation(const char* what, std::uint64_t expected,
+std::string format_violation(const std::string& what, std::uint64_t expected,
                              std::uint64_t actual) {
   char buf[192];
-  std::snprintf(buf, sizeof(buf), "%s: expected %llu, got %llu", what,
-                static_cast<unsigned long long>(expected),
+  std::snprintf(buf, sizeof(buf), "%s: expected %llu, got %llu",
+                what.c_str(), static_cast<unsigned long long>(expected),
                 static_cast<unsigned long long>(actual));
   return buf;
 }
@@ -53,12 +52,18 @@ std::string format_violation(const char* what, std::uint64_t expected,
 /// generation scores identically — which is what keeps the run report
 /// independent of swap timing.
 std::shared_ptr<const core::Locator> make_site_locator(
-    const Scenario& scenario) {
+    const traindb::TrainingDatabase& db) {
   return std::make_shared<const core::ProbabilisticLocator>(
-      core::CompiledDatabase::compile(scenario.database()));
+      core::CompiledDatabase::compile(db));
 }
 
-/// The fleet soak's standing fault schedule, per site.
+serve::DeviceId device_id(std::size_t site, std::uint32_t device) {
+  return (static_cast<serve::DeviceId>(site + 1) << 32) |
+         (static_cast<serve::DeviceId>(device) + 1);
+}
+
+}  // namespace
+
 void add_fault_schedule(ScenarioSpec& spec) {
   const auto devices = static_cast<std::uint32_t>(spec.devices.size());
   for (std::uint32_t d = 0; d < devices; d += 7) {
@@ -75,46 +80,22 @@ void add_fault_schedule(ScenarioSpec& spec) {
   }
 }
 
-serve::DeviceId device_id(std::size_t site, std::uint32_t device) {
-  return (static_cast<serve::DeviceId>(site + 1) << 32) |
-         (static_cast<serve::DeviceId>(device) + 1);
-}
-
-}  // namespace
-
-ServerSoakResult run_server_soak(const ServerSoakConfig& config) {
+SoakResult run_soak(const std::vector<SoakSite>& sites, std::string name,
+                    const SoakConfig& config) {
   concurrency::ThreadPool& pool =
       config.pool ? *config.pool : concurrency::default_pool();
-  ServerSoakResult result;
-
-  // --- Synthesize the multi-site workload -------------------------
-  std::vector<std::unique_ptr<Scenario>> scenarios;
-  std::vector<ScanTrace> traces;
-  scenarios.reserve(config.sites);
-  traces.reserve(config.sites);
-  std::size_t total_scans = 0;
-  for (std::size_t s = 0; s < config.sites; ++s) {
-    const std::uint64_t site_seed = config.seed + 1000 * (s + 1);
-    ScenarioSpec spec;
-    if (s < config.campus_sites) {
-      spec = ScenarioSpec::campus_fleet(config.devices_per_site,
-                                        config.scans_per_device, site_seed);
-      spec.train_scans = config.campus_train_scans;
-    } else {
-      spec = ScenarioSpec::fleet(config.devices_per_site,
-                                 config.scans_per_device, site_seed);
-    }
-    spec.name = "site-" + std::to_string(s) + "-" + spec.name;
-    if (config.fault_schedule) add_fault_schedule(spec);
-    scenarios.push_back(std::make_unique<Scenario>(std::move(spec)));
-    traces.push_back(scenarios.back()->record_trace());
-    total_scans += traces.back().scans.size();
-  }
+  SoakResult result;
 
   // --- Stand the server up ----------------------------------------
+  std::size_t total_scans = 0;
+  std::uint32_t max_devices = 0;
+  for (const SoakSite& site : sites) {
+    total_scans += site.trace.scans.size();
+    max_devices = std::max(max_devices, site.trace.device_count);
+  }
   serve::LocationServerConfig server_config;
   server_config.service = config.service;
-  server_config.max_sites = std::max<std::size_t>(1, config.sites);
+  server_config.max_sites = std::max<std::size_t>(1, sites.size());
   // The "session table never fills" invariant below demands a table
   // that genuinely cannot fill. Capacity is split across 16 hash
   // stripes and a stripe overflows individually, so 2x total headroom
@@ -122,29 +103,32 @@ ServerSoakResult run_server_soak(const ServerSoakConfig& config) {
   // stripes of 8 cells overflows on ordinary hash imbalance); size
   // for per-stripe slack, not just aggregate load factor.
   server_config.sessions_per_site =
-      std::max<std::size_t>(256, 4 * config.devices_per_site);
+      std::max<std::size_t>(256, 4 * std::size_t{max_devices});
   serve::LocationServer server(server_config);
 
   metrics::Counter& service_scans = metrics::counter("service.scans");
   metrics::Counter& service_rejected =
       metrics::counter("service.rejected_samples");
+  metrics::Counter& service_degraded =
+      metrics::counter("service.degraded_fixes");
   const std::uint64_t service_scans_before = service_scans.value();
   const std::uint64_t service_rejected_before = service_rejected.value();
+  const std::uint64_t service_degraded_before = service_degraded.value();
   const std::size_t pool_errors_before = pool.uncaught_task_errors();
 
   std::vector<serve::SiteId> site_ids;
   std::vector<std::uint64_t> shard_scans_before;
-  for (std::size_t s = 0; s < config.sites; ++s) {
-    site_ids.push_back(server.add_site(scenarios[s]->spec().name,
-                                       make_site_locator(*scenarios[s])));
-    shard_scans_before.push_back(server.stats(site_ids[s]).scans);
+  for (const SoakSite& site : sites) {
+    site_ids.push_back(server.add_site(site.trace.scenario,
+                                       make_site_locator(site.database)));
+    shard_scans_before.push_back(server.stats(site_ids.back()).scans);
   }
 
-  // --- Replay with a swapper thread republishing under load -------
-  std::vector<std::vector<std::vector<std::size_t>>> by_device(config.sites);
+  // --- Replay with swap waves republishing under load -------------
+  std::vector<std::vector<std::vector<std::size_t>>> by_device(sites.size());
   std::vector<std::pair<std::size_t, std::uint32_t>> work;
-  for (std::size_t s = 0; s < config.sites; ++s) {
-    by_device[s] = traces[s].scans_by_device();
+  for (std::size_t s = 0; s < sites.size(); ++s) {
+    by_device[s] = sites[s].trace.scans_by_device();
     for (std::uint32_t d = 0; d < by_device[s].size(); ++d) {
       work.emplace_back(s, d);
     }
@@ -176,8 +160,8 @@ ServerSoakResult run_server_soak(const ServerSoakConfig& config) {
                (claimed + 1) * swap_every) {
       if (waves_claimed.compare_exchange_weak(claimed, claimed + 1,
                                               std::memory_order_relaxed)) {
-        for (std::size_t s = 0; s < config.sites; ++s) {
-          server.swap_site(site_ids[s], make_site_locator(*scenarios[s]));
+        for (std::size_t s = 0; s < sites.size(); ++s) {
+          server.swap_site(site_ids[s], make_site_locator(sites[s].database));
         }
         waves.fetch_add(1, std::memory_order_relaxed);
         if (progress.load(std::memory_order_relaxed) < total_scans) {
@@ -191,7 +175,7 @@ ServerSoakResult run_server_soak(const ServerSoakConfig& config) {
   const Clock::time_point start = Clock::now();
   concurrency::parallel_for(pool, 0, work.size(), [&](std::size_t w) {
     const auto [site, device] = work[w];
-    const ScanTrace& trace = traces[site];
+    const ScanTrace& trace = sites[site].trace;
     DeviceSlot& slot = slots[w];
     const serve::DeviceId id = device_id(site, device);
     slot.errors_ft.reserve(by_device[site][device].size());
@@ -219,49 +203,16 @@ ServerSoakResult run_server_soak(const ServerSoakConfig& config) {
   result.swap_waves = waves.load();
   result.swap_waves_under_load = waves_under_load.load();
 
-  // --- Per-tick campus fleet frames (optional) ---------------------
-  if (!config.frames_dir.empty() && config.campus_sites > 0 &&
-      !scenarios.empty()) {
-    std::filesystem::create_directories(config.frames_dir);
-    const FleetFrameBuilder frames(*scenarios[0]);
-    const floorplan::FleetCompositor compositor;
-    const std::size_t every = std::max<std::size_t>(1, config.frame_every_ticks);
-    const std::size_t ticks = frames.tick_count(traces[0]);
-    for (std::size_t tick = 0; tick < ticks; tick += every) {
-      const image::Raster frame =
-          compositor.render(frames.frame(traces[0], tick));
-      char name[32];
-      std::snprintf(name, sizeof(name), "frame-%04zu.bmp", tick);
-      image::write_bmp(std::filesystem::path(config.frames_dir) / name,
-                       frame);
-      ++result.frames_written;
-    }
-  }
-
   // --- Assemble the deterministic reports -------------------------
   RunReport& report = result.report;
-  report.scenario = "server-soak-" + std::to_string(config.sites) + "x" +
-                    std::to_string(config.devices_per_site) + "x" +
-                    std::to_string(config.scans_per_device) + "-seed" +
-                    std::to_string(config.seed);
-  if (config.campus_sites > 0) {
-    report.scenario +=
-        "-campus" + std::to_string(std::min(config.campus_sites, config.sites));
-  }
-  report.device_count =
-      static_cast<std::uint32_t>(config.sites * config.devices_per_site);
+  report.scenario = std::move(name);
   report.scans_replayed = total_scans;
-
-  result.site_reports.resize(config.sites);
+  result.site_reports.resize(sites.size());
   std::vector<double> latencies;
   latencies.reserve(total_scans);
   for (std::size_t w = 0; w < work.size(); ++w) {
-    const auto [site, device] = work[w];
     const DeviceSlot& slot = slots[w];
-    RunReport& site_report = result.site_reports[site];
-    site_report.scenario = traces[site].scenario;
-    site_report.device_count = traces[site].device_count;
-    site_report.scans_replayed = traces[site].scans.size();
+    RunReport& site_report = result.site_reports[work[w].first];
     site_report.valid_fixes += slot.valid;
     site_report.degraded_fixes += slot.degraded;
     site_report.invalid_fixes += slot.invalid;
@@ -271,19 +222,22 @@ ServerSoakResult run_server_soak(const ServerSoakConfig& config) {
     latencies.insert(latencies.end(), slot.on_scan_s.begin(),
                      slot.on_scan_s.end());
   }
-  std::uint64_t non_finite_samples = 0;
-  for (std::size_t s = 0; s < config.sites; ++s) {
+  for (std::size_t s = 0; s < sites.size(); ++s) {
+    const ScanTrace& trace = sites[s].trace;
     RunReport& site_report = result.site_reports[s];
+    site_report.scenario = trace.scenario;
+    site_report.device_count = trace.device_count;
+    site_report.scans_replayed = trace.scans.size();
     // Rejected samples are deterministic properties of the trace (the
     // session drops exactly the non-finite ones); the metric
     // cross-check below confirms the live counters agree.
-    for (const TraceScan& ts : traces[s].scans) {
+    for (const TraceScan& ts : trace.scans) {
       for (const radio::ScanSample& sample : ts.scan.samples) {
         if (!std::isfinite(sample.rssi_dbm)) ++site_report.rejected_samples;
       }
     }
-    non_finite_samples += site_report.rejected_samples;
     std::sort(site_report.errors_ft.begin(), site_report.errors_ft.end());
+    report.device_count += site_report.device_count;
     report.valid_fixes += site_report.valid_fixes;
     report.degraded_fixes += site_report.degraded_fixes;
     report.invalid_fixes += site_report.invalid_fixes;
@@ -322,10 +276,15 @@ ServerSoakResult run_server_soak(const ServerSoakConfig& config) {
                          report.scans_replayed,
                          service_scans.value() - service_scans_before));
   check(service_rejected.value() - service_rejected_before ==
-            non_finite_samples,
+            report.rejected_samples,
         format_violation("every non-finite sample must be rejected",
-                         non_finite_samples,
+                         report.rejected_samples,
                          service_rejected.value() - service_rejected_before));
+  check(service_degraded.value() - service_degraded_before ==
+            report.degraded_fixes,
+        format_violation("metric service.degraded_fixes delta",
+                         report.degraded_fixes,
+                         service_degraded.value() - service_degraded_before));
   check(result.swap_waves == planned_waves,
         format_violation("every planned swap wave must run",
                          planned_waves, result.swap_waves));
@@ -333,33 +292,34 @@ ServerSoakResult run_server_soak(const ServerSoakConfig& config) {
         format_violation("uncaught pool errors during soak", 0,
                          pool.uncaught_task_errors() - pool_errors_before));
 
-  for (std::size_t s = 0; s < config.sites; ++s) {
+  for (std::size_t s = 0; s < sites.size(); ++s) {
     server.reclaim(site_ids[s]);
     const serve::SiteStats stats = server.stats(site_ids[s]);
     result.max_generation = std::max(result.max_generation, stats.generation);
+    const std::size_t scanning_devices = static_cast<std::size_t>(
+        std::count_if(by_device[s].begin(), by_device[s].end(),
+                      [](const auto& scans) { return !scans.empty(); }));
     const std::string prefix = "site " + std::to_string(s) + " ";
     check(stats.scans - shard_scans_before[s] ==
               result.site_reports[s].scans_replayed,
-          format_violation((prefix + "shard scan counter").c_str(),
+          format_violation(prefix + "shard scan counter",
                            result.site_reports[s].scans_replayed,
                            stats.scans - shard_scans_before[s]));
     check(stats.generation == planned_waves + 1,
-          format_violation((prefix + "snapshot generation").c_str(),
-                           planned_waves + 1, stats.generation));
-    check(stats.sessions == config.devices_per_site,
-          format_violation((prefix + "one session per device").c_str(),
-                           config.devices_per_site, stats.sessions));
+          format_violation(prefix + "snapshot generation", planned_waves + 1,
+                           stats.generation));
+    check(stats.sessions == scanning_devices,
+          format_violation(prefix + "one session per device",
+                           scanning_devices, stats.sessions));
     check(stats.retired_snapshots == 0,
-          format_violation(
-              (prefix + "all retired snapshots reclaimed").c_str(), 0,
-              stats.retired_snapshots));
+          format_violation(prefix + "all retired snapshots reclaimed", 0,
+                           stats.retired_snapshots));
     check(stats.reader_stalls == 0,
-          format_violation(
-              (prefix + "readers never stall across two epochs").c_str(),
-              0, stats.reader_stalls));
+          format_violation(prefix + "readers never stall across two epochs",
+                           0, stats.reader_stalls));
     check(stats.sessions_rejected == 0,
-          format_violation((prefix + "session table never fills").c_str(),
-                           0, stats.sessions_rejected));
+          format_violation(prefix + "session table never fills", 0,
+                           stats.sessions_rejected));
   }
 
   if (config.max_p99_on_scan_s > 0.0 &&
@@ -371,6 +331,65 @@ ServerSoakResult run_server_soak(const ServerSoakConfig& config) {
     result.violations.push_back(buf);
   }
 
+  return result;
+}
+
+SoakResult run_server_soak(const ServerSoakConfig& config) {
+  // --- Synthesize the multi-site workload -------------------------
+  std::vector<std::unique_ptr<Scenario>> scenarios;
+  std::vector<ScanTrace> traces;
+  scenarios.reserve(config.sites);
+  traces.reserve(config.sites);
+  for (std::size_t s = 0; s < config.sites; ++s) {
+    const std::uint64_t site_seed = config.seed + 1000 * (s + 1);
+    ScenarioSpec spec;
+    if (s < config.campus_sites) {
+      spec = ScenarioSpec::campus_fleet(config.devices_per_site,
+                                        config.scans_per_device, site_seed);
+      spec.train_scans = config.campus_train_scans;
+    } else {
+      spec = ScenarioSpec::fleet(config.devices_per_site,
+                                 config.scans_per_device, site_seed);
+    }
+    spec.name = "site-" + std::to_string(s) + "-" + spec.name;
+    if (config.fault_schedule) add_fault_schedule(spec);
+    scenarios.push_back(std::make_unique<Scenario>(std::move(spec)));
+    traces.push_back(scenarios.back()->record_trace());
+  }
+
+  std::string name = "server-soak-" + std::to_string(config.sites) + "x" +
+                     std::to_string(config.devices_per_site) + "x" +
+                     std::to_string(config.scans_per_device) + "-seed" +
+                     std::to_string(config.seed);
+  if (config.campus_sites > 0) {
+    name +=
+        "-campus" + std::to_string(std::min(config.campus_sites, config.sites));
+  }
+  std::vector<SoakSite> sites;
+  sites.reserve(config.sites);
+  for (std::size_t s = 0; s < config.sites; ++s) {
+    sites.push_back({traces[s], scenarios[s]->database()});
+  }
+  SoakResult result = run_soak(sites, std::move(name), config);
+
+  // --- Per-tick campus fleet frames (optional) ---------------------
+  if (!config.frames_dir.empty() && config.campus_sites > 0 &&
+      !scenarios.empty()) {
+    std::filesystem::create_directories(config.frames_dir);
+    const FleetFrameBuilder frames(*scenarios[0]);
+    const floorplan::FleetCompositor compositor;
+    const std::size_t every = std::max<std::size_t>(1, config.frame_every_ticks);
+    const std::size_t ticks = frames.tick_count(traces[0]);
+    for (std::size_t tick = 0; tick < ticks; tick += every) {
+      const image::Raster frame =
+          compositor.render(frames.frame(traces[0], tick));
+      char file[32];
+      std::snprintf(file, sizeof(file), "frame-%04zu.bmp", tick);
+      image::write_bmp(std::filesystem::path(config.frames_dir) / file,
+                       frame);
+      ++result.frames_written;
+    }
+  }
   return result;
 }
 

@@ -23,7 +23,7 @@
 #include "testkit/differential.hpp"
 #include "testkit/golden.hpp"
 #include "testkit/scenario.hpp"
-#include "testkit/soak.hpp"
+#include "testkit/server_soak.hpp"
 #include "testkit/trace.hpp"
 
 namespace loctk::testkit {
@@ -95,9 +95,10 @@ TEST(ConformanceReplay, TraceReplaysBitForBitWithIdenticalReports) {
   const Result<ScanTrace> decoded = try_decode_trace(bytes);
   ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
 
-  const core::ProbabilisticLocator locator(scenario.database());
-  const SoakResult from_original = run_fleet_soak(trace, locator);
-  const SoakResult from_decoded = run_fleet_soak(decoded.value(), locator);
+  const SoakResult from_original =
+      run_soak({{trace, scenario.database()}}, trace.scenario);
+  const SoakResult from_decoded =
+      run_soak({{decoded.value(), scenario.database()}}, trace.scenario);
   EXPECT_TRUE(from_original.ok());
   EXPECT_TRUE(from_decoded.ok());
   EXPECT_EQ(from_original.report, from_decoded.report);

@@ -207,32 +207,6 @@ TEST(LocationService, CountsRejectedSamples) {
   EXPECT_EQ(svc.rejected_samples(), 2u);
 }
 
-TEST(LocationService, ReplayMatchesScanByScanFeed) {
-  Fixture f;
-  std::vector<radio::ScanRecord> scans;
-  for (int i = 0; i < 10; ++i) {
-    scans.push_back(scan_at({20, 20}, 1.0 * i));
-  }
-  scans.push_back(empty_scan(10.0));
-
-  LocationService fed(f.locator);
-  std::vector<ServiceFix> expected;
-  for (const radio::ScanRecord& rec : scans) {
-    expected.push_back(fed.on_scan(rec));
-  }
-
-  LocationService replayed(f.locator);
-  const std::vector<ServiceFix> fixes = replayed.replay(scans);
-  ASSERT_EQ(fixes.size(), scans.size());
-  for (std::size_t i = 0; i < fixes.size(); ++i) {
-    EXPECT_EQ(fixes[i].valid, expected[i].valid) << i;
-    EXPECT_EQ(fixes[i].position, expected[i].position) << i;
-    EXPECT_EQ(fixes[i].place, expected[i].place) << i;
-  }
-  EXPECT_EQ(replayed.scans_seen(), scans.size());
-  EXPECT_EQ(fed.scans_seen(), scans.size());
-}
-
 // The serving layer's foundational assumption, pinned as a regression:
 // locators are immutable after construction, so any number of services
 // (or server shards) may share one instance across threads. The

@@ -34,7 +34,7 @@ TEST(ServerSoak, InvariantsHoldAtSmallScale) {
   concurrency::ThreadPool pool(4);
   ServerSoakConfig config = small_config();
   config.pool = &pool;
-  const ServerSoakResult result = run_server_soak(config);
+  const SoakResult result = run_server_soak(config);
   for (const std::string& v : result.violations) {
     ADD_FAILURE() << "invariant violated: " << v;
   }
@@ -52,12 +52,12 @@ TEST(ServerSoak, ReportIsByteDeterministicAcrossThreadCounts) {
 
   concurrency::ThreadPool serial(1);
   config.pool = &serial;
-  const ServerSoakResult one = run_server_soak(config);
+  const SoakResult one = run_server_soak(config);
   ASSERT_TRUE(one.ok());
 
   concurrency::ThreadPool wide(8);
   config.pool = &wide;
-  const ServerSoakResult eight = run_server_soak(config);
+  const SoakResult eight = run_server_soak(config);
   for (const std::string& v : eight.violations) {
     ADD_FAILURE() << "invariant violated: " << v;
   }
@@ -81,7 +81,7 @@ TEST(ServerSoak, SwapsLandUnderLoad) {
   config.pool = &pool;
   // Swap aggressively so many waves land while replay traffic runs.
   config.swap_every_scans = 8;
-  const ServerSoakResult result = run_server_soak(config);
+  const SoakResult result = run_server_soak(config);
   EXPECT_TRUE(result.ok());
   EXPECT_EQ(result.swap_waves, 53u);  // 429 / 8
   EXPECT_GE(result.swap_waves_under_load, 1u);
@@ -100,7 +100,7 @@ TEST(ServerSoak, CampusSitesMixIntoTheFleetAndStayDeterministic) {
 
   concurrency::ThreadPool serial(1);
   config.pool = &serial;
-  const ServerSoakResult one = run_server_soak(config);
+  const SoakResult one = run_server_soak(config);
   for (const std::string& v : one.violations) {
     ADD_FAILURE() << "invariant violated: " << v;
   }
@@ -112,7 +112,7 @@ TEST(ServerSoak, CampusSitesMixIntoTheFleetAndStayDeterministic) {
 
   concurrency::ThreadPool wide(8);
   config.pool = &wide;
-  const ServerSoakResult eight = run_server_soak(config);
+  const SoakResult eight = run_server_soak(config);
   ASSERT_TRUE(eight.ok());
   EXPECT_EQ(one.report, eight.report);
   EXPECT_EQ(one.report.to_json(), eight.report.to_json());
@@ -121,12 +121,12 @@ TEST(ServerSoak, CampusSitesMixIntoTheFleetAndStayDeterministic) {
 TEST(ServerSoak, FaultScheduleRejectsSamplesDeterministically) {
   ServerSoakConfig config = small_config();
   config.fault_schedule = true;
-  const ServerSoakResult with_faults = run_server_soak(config);
+  const SoakResult with_faults = run_server_soak(config);
   ASSERT_TRUE(with_faults.ok());
   EXPECT_GT(with_faults.report.rejected_samples, 0u);
 
   config.fault_schedule = false;
-  const ServerSoakResult clean = run_server_soak(config);
+  const SoakResult clean = run_server_soak(config);
   ASSERT_TRUE(clean.ok());
   EXPECT_EQ(clean.report.rejected_samples, 0u);
 }

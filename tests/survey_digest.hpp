@@ -8,6 +8,8 @@
 // with FNV-1a. The digests were recorded before wi-scan rows were
 // interned; a change to the text format, the parser, the per-AP
 // grouping, the Welford order or the universe build moves them.
+// testkit_soak_test.cpp pins soak report digests with the same fnv1a
+// and hex.
 
 #include <cstdint>
 #include <cstdio>

@@ -1,17 +1,17 @@
 // Fleet-scale soak (ctest label: soak): >= 64 concurrent simulated
-// devices replayed through per-device LocationService sessions on the
-// default pool, with the full invariant battery and a fault schedule
-// mixed in. The scheduled CI job runs this suite under TSan — the
-// per-device services share one locator, so any unsynchronized state
-// in the locate path surfaces here.
+// devices replayed through a one-site LocationServer on the default
+// pool, with swap waves under load, the full invariant battery and the
+// standing fault schedule mixed in. The scheduled CI job runs this
+// suite under TSan — the devices' sessions share each published
+// locator, so any unsynchronized state in the locate path surfaces
+// here.
 
-#include "testkit/soak.hpp"
+#include "testkit/server_soak.hpp"
 
 #include <cstdio>
 
 #include <gtest/gtest.h>
 
-#include "core/probabilistic.hpp"
 #include "testkit/scenario.hpp"
 
 namespace loctk::testkit {
@@ -20,38 +20,33 @@ namespace {
 constexpr std::size_t kFleetDevices = 64;
 constexpr int kScansPerDevice = 40;
 
-ScenarioSpec fleet_spec() {
-  ScenarioSpec spec =
-      ScenarioSpec::fleet(kFleetDevices, kScansPerDevice, /*seed=*/64);
-  // Sprinkle every fault kind across the fleet so the soak also
-  // exercises rejection and coasting under load.
-  for (std::uint32_t d = 0; d < kFleetDevices; d += 7) {
-    spec.faults.push_back({.device = d, .scan_index = (d % 13) + 3,
-                           .kind = FaultEvent::Kind::kNonFiniteRssi});
+struct Fleet {
+  Fleet()
+      : scenario([] {
+          ScenarioSpec spec =
+              ScenarioSpec::fleet(kFleetDevices, kScansPerDevice, /*seed=*/64);
+          add_fault_schedule(spec);
+          return spec;
+        }()),
+        trace(scenario.record_trace()) {}
+
+  SoakResult soak() const {
+    SoakConfig config;
+    // Generous bound: the scheduled job runs this under TSan on shared
+    // CI machines. The quick-tier soak tests keep the tight default.
+    config.max_p99_on_scan_s = 5.0;
+    return run_soak({{trace, scenario.database()}}, trace.scenario, config);
   }
-  for (std::uint32_t d = 3; d < kFleetDevices; d += 11) {
-    spec.faults.push_back({.device = d, .scan_index = (d % 17) + 2,
-                           .kind = FaultEvent::Kind::kDropScan});
-  }
-  for (std::uint32_t d = 5; d < kFleetDevices; d += 9) {
-    spec.faults.push_back({.device = d, .scan_index = (d % 19) + 1,
-                           .kind = FaultEvent::Kind::kDropStrongestAp});
-  }
-  return spec;
-}
+
+  Scenario scenario;
+  ScanTrace trace;
+};
 
 TEST(FleetSoakFull, SixtyFourDevicesZeroInvariantViolations) {
-  const Scenario scenario(fleet_spec());
-  const ScanTrace trace = scenario.record_trace();
-  ASSERT_GE(trace.device_count, 64u);
+  const Fleet fleet;
+  ASSERT_GE(fleet.trace.device_count, 64u);
 
-  const core::ProbabilisticLocator locator(scenario.database());
-  SoakConfig config;
-  // Generous bound: the scheduled job runs this under TSan on shared
-  // CI machines. The quick-tier soak tests keep the tight default.
-  config.max_p99_on_scan_s = 5.0;
-
-  const SoakResult result = run_fleet_soak(trace, locator, config);
+  const SoakResult result = fleet.soak();
   for (const std::string& v : result.violations) ADD_FAILURE() << v;
   EXPECT_TRUE(result.ok());
 
@@ -59,6 +54,7 @@ TEST(FleetSoakFull, SixtyFourDevicesZeroInvariantViolations) {
   EXPECT_EQ(r.device_count, kFleetDevices);
   EXPECT_GT(r.rejected_samples, 0u);  // the NaN schedule really ran
   EXPECT_GT(r.valid_fix_fraction(), 0.8);
+  EXPECT_GE(result.swap_waves_under_load, 1u);
   std::fputs(r.to_text().c_str(), stderr);
   std::fprintf(stderr, "  wall %.2fs  mean on_scan %.1fus  p99 %.1fus\n",
                result.wall_s, 1e6 * result.mean_on_scan_s,
@@ -66,14 +62,9 @@ TEST(FleetSoakFull, SixtyFourDevicesZeroInvariantViolations) {
 }
 
 TEST(FleetSoakFull, ReportIdenticalAcrossConcurrentReplays) {
-  const Scenario scenario(fleet_spec());
-  const ScanTrace trace = scenario.record_trace();
-  const core::ProbabilisticLocator locator(scenario.database());
-  SoakConfig config;
-  config.max_p99_on_scan_s = 5.0;
-
-  const SoakResult once = run_fleet_soak(trace, locator, config);
-  const SoakResult twice = run_fleet_soak(trace, locator, config);
+  const Fleet fleet;
+  const SoakResult once = fleet.soak();
+  const SoakResult twice = fleet.soak();
   EXPECT_TRUE(once.ok());
   EXPECT_TRUE(twice.ok());
   EXPECT_EQ(once.report, twice.report);

@@ -1,34 +1,39 @@
-// Quick-tier tests for the fleet soak driver: invariants hold on a
-// small fleet, the run report is deterministic across replays and
-// thread counts, and the fault/degraded accounting is exact.
+// Quick-tier tests for the soak harness on one site: invariants hold
+// on a small fleet, the run report is deterministic across replays and
+// thread counts and pinned by digest, and the fault/degraded
+// accounting is exact.
 
-#include "testkit/soak.hpp"
+#include "testkit/server_soak.hpp"
 
 #include <algorithm>
-#include <memory>
 
 #include <gtest/gtest.h>
 
-#include "core/probabilistic.hpp"
+#include "survey_digest.hpp"
 #include "testkit/scenario.hpp"
 
 namespace loctk::testkit {
 namespace {
 
+using loctk::testing::fnv1a;
+using loctk::testing::hex;
+
 struct SmallFleet {
-  SmallFleet() : scenario(ScenarioSpec::fleet(6, 20, /*seed=*/11)) {
-    trace = scenario.record_trace();
-    locator = std::make_unique<core::ProbabilisticLocator>(
-        scenario.database());
+  explicit SmallFleet(ScenarioSpec spec = ScenarioSpec::fleet(6, 20,
+                                                              /*seed=*/11))
+      : scenario(std::move(spec)), trace(scenario.record_trace()) {}
+
+  SoakResult soak(const SoakConfig& config = {}) const {
+    return run_soak({{trace, scenario.database()}}, trace.scenario, config);
   }
+
   Scenario scenario;
   ScanTrace trace;
-  std::unique_ptr<core::ProbabilisticLocator> locator;
 };
 
 TEST(FleetSoak, SmallFleetPassesAllInvariants) {
-  SmallFleet f;
-  const SoakResult result = run_fleet_soak(f.trace, *f.locator);
+  const SmallFleet f;
+  const SoakResult result = f.soak();
   for (const std::string& v : result.violations) ADD_FAILURE() << v;
   EXPECT_TRUE(result.ok());
 
@@ -44,28 +49,43 @@ TEST(FleetSoak, SmallFleetPassesAllInvariants) {
   EXPECT_EQ(r.errors_ft.size(), r.valid_fixes);
   EXPECT_TRUE(std::is_sorted(r.errors_ft.begin(), r.errors_ft.end()));
   EXPECT_GT(result.p99_on_scan_s, 0.0);
+  // One site still sees the derived ~16 swap waves: 120 scans, a wave
+  // every 120 / 16 = 7.
+  EXPECT_EQ(result.swap_waves, 17u);
+  EXPECT_EQ(result.max_generation, 18u);
 }
 
 TEST(FleetSoak, ReportIsIdenticalAcrossReplays) {
-  SmallFleet f;
-  const SoakResult once = run_fleet_soak(f.trace, *f.locator);
-  const SoakResult twice = run_fleet_soak(f.trace, *f.locator);
+  const SmallFleet f;
+  const SoakResult once = f.soak();
+  const SoakResult twice = f.soak();
   EXPECT_EQ(once.report, twice.report);
 }
 
 TEST(FleetSoak, ReportIsThreadCountInvariant) {
-  SmallFleet f;
+  const SmallFleet f;
   concurrency::ThreadPool one(1);
   concurrency::ThreadPool many(4);
   SoakConfig serial;
   serial.pool = &one;
   SoakConfig parallel;
   parallel.pool = &many;
-  const SoakResult a = run_fleet_soak(f.trace, *f.locator, serial);
-  const SoakResult b = run_fleet_soak(f.trace, *f.locator, parallel);
+  const SoakResult a = f.soak(serial);
+  const SoakResult b = f.soak(parallel);
   EXPECT_TRUE(a.ok());
   EXPECT_TRUE(b.ok());
   EXPECT_EQ(a.report, b.report);
+}
+
+TEST(FleetSoak, OneSiteReportIsTheSiteReport) {
+  for (const std::uint64_t seed : {11u, 12u, 13u}) {
+    ScenarioSpec spec = ScenarioSpec::fleet(5, 12, seed);
+    add_fault_schedule(spec);
+    const SoakResult result = SmallFleet(std::move(spec)).soak();
+    EXPECT_TRUE(result.ok()) << "seed " << seed;
+    ASSERT_EQ(result.site_reports.size(), 1u);
+    EXPECT_EQ(result.report, result.site_reports[0]) << "seed " << seed;
+  }
 }
 
 TEST(FleetSoak, CountsInjectedFaults) {
@@ -76,33 +96,47 @@ TEST(FleetSoak, CountsInjectedFaults) {
                          .kind = FaultEvent::Kind::kNonFiniteRssi});
   spec.faults.push_back({.device = 3, .scan_index = 3,
                          .kind = FaultEvent::Kind::kDropScan});
-  const Scenario scenario(spec);
-  const ScanTrace trace = scenario.record_trace();
-  const core::ProbabilisticLocator locator(scenario.database());
-
-  const SoakResult result = run_fleet_soak(trace, locator);
+  const SoakResult result = SmallFleet(std::move(spec)).soak();
   for (const std::string& v : result.violations) ADD_FAILURE() << v;
   EXPECT_EQ(result.report.scans_replayed, 4u * 15u - 1u);  // one dropped
   EXPECT_EQ(result.report.rejected_samples, 2u);  // one NaN sample each
 }
 
 TEST(FleetSoak, LatencyBoundViolationIsReported) {
-  SmallFleet f;
+  const SmallFleet f;
   SoakConfig config;
   config.max_p99_on_scan_s = 1e-12;  // impossible bound
-  const SoakResult result = run_fleet_soak(f.trace, *f.locator, config);
+  const SoakResult result = f.soak(config);
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.violations.front().find("p99"), std::string::npos);
 }
 
 TEST(FleetSoak, ReportSerializationIsStable) {
-  SmallFleet f;
-  const SoakResult result = run_fleet_soak(f.trace, *f.locator);
+  const SmallFleet f;
+  const SoakResult result = f.soak();
   const std::string json = result.report.to_json();
-  EXPECT_EQ(json, run_fleet_soak(f.trace, *f.locator).report.to_json());
+  EXPECT_EQ(json, f.soak().report.to_json());
   EXPECT_NE(json.find("\"scans_replayed\""), std::string::npos);
   EXPECT_NE(json.find("\"errors_ft\""), std::string::npos);
   EXPECT_NE(result.report.to_text().find("run report"), std::string::npos);
+}
+
+// The report bytes, pinned: recorded from the per-device
+// LocationService replay the soak ran before it went through a
+// LocationServer, so a change to replay order, fix classification or
+// the report's assembly moves them.
+TEST(FleetSoak, SmallFleetReportDigestIsPinned) {
+  EXPECT_EQ(hex(fnv1a(SmallFleet().soak().report.to_json())),
+            hex(0xa08deaad52e9947eULL));
+}
+
+TEST(FleetSoak, FaultScheduleReportDigestIsPinned) {
+  ScenarioSpec spec = ScenarioSpec::fleet(16, 20, /*seed=*/16);
+  add_fault_schedule(spec);
+  const SoakResult result = SmallFleet(std::move(spec)).soak();
+  EXPECT_EQ(result.report.rejected_samples, 3u);
+  EXPECT_EQ(hex(fnv1a(result.report.to_json())),
+            hex(0x4fa990c907752772ULL));
 }
 
 TEST(RunReport, FractionsAndPercentiles) {

@@ -305,15 +305,15 @@ TEST_F(IngestParallelTest, CompileCollectionMatchesCompileAfterLoad) {
   const auto two_step = core::CompiledDatabase::compile(two_step_db);
 
   GeneratorReport report;
-  const auto direct =
-      core::compile_collection(collection, map_, config, &report);
+  const auto direct = core::CompiledDatabase::compile_owned(
+      generate_database(collection, map_, config, &report));
   ASSERT_NE(direct, nullptr);
   expect_same_compilation(*direct, *two_step);
   EXPECT_EQ(report.points_built, two_step_db.size());
 
   concurrency::ThreadPool pool(4);
-  const auto direct_parallel =
-      core::compile_collection(collection, map_, config, nullptr, &pool);
+  const auto direct_parallel = core::CompiledDatabase::compile_owned(
+      generate_database_parallel(collection, map_, pool, config));
   expect_same_compilation(*direct_parallel, *two_step);
 }
 
@@ -325,12 +325,12 @@ TEST_F(IngestParallelTest, LoadCompiledDatabaseMatchesDecodeThenCompile) {
   const fs::path ltdb = dir_ / "site.ltdb";
   write_database(ltdb, db);
 
-  const auto loaded = core::load_compiled_database(ltdb);
+  const auto loaded =
+      core::CompiledDatabase::compile_owned(read_database(ltdb));
   ASSERT_NE(loaded, nullptr);
   expect_same_compilation(*loaded, *core::CompiledDatabase::compile(db));
 
-  EXPECT_THROW(core::load_compiled_database(dir_ / "missing.ltdb"),
-               CodecError);
+  EXPECT_THROW(read_database(dir_ / "missing.ltdb"), CodecError);
 }
 
 TEST_F(IngestParallelTest, ProbeDatabaseReadsHeaderWithoutPayload) {
