@@ -8,9 +8,14 @@
 // mutant that parses is also checked against the interner: rebuilt
 // row by row with `add(entry(i))` it must equal itself, and
 // `build_training_point` must match the seed's string-keyed std::map
-// grouping on every AP's count, mean, sigma, min and max, bit for bit.
-// The CI sanitizer job runs this under ASan/UBSan, where any
-// out-of-bounds read during decoding aborts the process.
+// grouping on every AP's count, mean, sigma, min and max, bit for bit,
+// and every wi-scan mutant is raced against the reference parser
+// (testkit/wiscan_reference.hpp): same accept or reject, same
+// diagnostic, same rows. The text targets also swap numbers for hostile
+// ones (nan, inf, 1e300, 16-digit integers). The CI sanitizer job runs
+// this under ASan/UBSan with float-cast-overflow, where any
+// out-of-bounds read or out-of-range float-to-int conversion during
+// decoding aborts the process.
 //
 // Usage: fuzz_codec [iterations-per-target] [seed]
 // Defaults: 2000 iterations per target, fixed seed (deterministic).
@@ -27,6 +32,7 @@
 
 #include "base/error.hpp"
 #include "stats/running_stats.hpp"
+#include "testkit/wiscan_reference.hpp"
 #include "traindb/codec.hpp"
 #include "traindb/database.hpp"
 #include "traindb/generator.hpp"
@@ -116,6 +122,22 @@ void mutate(std::string& bytes, std::mt19937_64& rng) {
   }
 }
 
+// Replaces the value after the next '=' or space past a random offset
+// with a hostile number: the float-to-int and finiteness checks of the
+// text parsers only see such tokens by this route.
+void mutate_number(std::string& bytes, std::mt19937_64& rng) {
+  static const char* const kNumbers[] = {
+      "nan", "-nan", "inf", "-inf", "1e300", "-1e300", "9999999999999999",
+      "-9999999999999999", "99999999999", "2147483648", "-0", "1e-320"};
+  if (bytes.empty()) return;
+  const std::size_t sep = bytes.find_first_of("= ", rng() % bytes.size());
+  if (sep == std::string::npos) return;
+  const std::size_t end = bytes.find_first_of(" \t\r\n", sep + 1);
+  bytes.replace(sep + 1,
+                (end == std::string::npos ? bytes.size() : end) - sep - 1,
+                kNumbers[rng() % std::size(kNumbers)]);
+}
+
 struct Tally {
   long ok = 0;
   long typed[5] = {0, 0, 0, 0, 0};
@@ -188,9 +210,10 @@ struct AcceptAll {
   }
 };
 
+// `text` targets also get number mutations, one mutant in two.
 template <typename TryDecode, typename Check = AcceptAll>
 Tally fuzz_target(const std::string& golden, long iterations,
-                  std::uint64_t seed, TryDecode&& try_decode,
+                  std::uint64_t seed, bool text, TryDecode&& try_decode,
                   Check&& check = {}) {
   std::mt19937_64 rng(seed);
   Tally tally;
@@ -198,6 +221,7 @@ Tally fuzz_target(const std::string& golden, long iterations,
     std::string bytes = golden;
     const int mutations = 1 + static_cast<int>(rng() % 4);
     for (int m = 0; m < mutations; ++m) mutate(bytes, rng);
+    if (text && rng() % 2 == 0) mutate_number(bytes, rng);
     try {
       const auto result = try_decode(bytes);
       if (result.ok()) {
@@ -227,20 +251,31 @@ int main(int argc, char** argv) {
 
   {
     const Tally t = fuzz_target(
-        golden_db_bytes(), iterations, seed, [](const std::string& b) {
+        golden_db_bytes(), iterations, seed, false,
+        [](const std::string& b) {
           return loctk::traindb::try_decode_database(b);
         });
     report("traindb", t, iterations);
     escaped += t.escaped;
   }
+  long oracle_mismatched = 0;
   {
     const Tally t = fuzz_target(
-        golden_wiscan_text(), iterations, seed ^ 0x1111,
-        [](const std::string& b) {
+        golden_wiscan_text(), iterations, seed ^ 0x1111, true,
+        [&oracle_mismatched](const std::string& b) {
+          const std::string diff =
+              loctk::testkit::wiscan_parse_mismatch(b, "fallback");
+          if (!diff.empty()) {
+            if (oracle_mismatched++ == 0) {
+              std::fprintf(stderr, "oracle mismatch: %s\n", diff.c_str());
+            }
+          }
           return loctk::wiscan::try_parse_wiscan_buffer(b, "fallback");
         },
         interned_file_holds);
     report("wiscan", t, iterations);
+    std::printf("%-14s %7ld iters: %ld mismatches against the reference parser\n",
+                "wiscan-oracle", iterations, oracle_mismatched);
     escaped += t.escaped;
     mismatched += t.mismatched;
   }
@@ -248,7 +283,7 @@ int main(int argc, char** argv) {
     // The archive reader still speaks exceptions; adapt inline so the
     // container format gets the same treatment.
     const Tally t = fuzz_target(
-        golden_archive_bytes(), iterations, seed ^ 0x2222,
+        golden_archive_bytes(), iterations, seed ^ 0x2222, false,
         [](const std::string& b)
             -> loctk::Result<loctk::wiscan::Archive> {
           try {
@@ -264,7 +299,7 @@ int main(int argc, char** argv) {
     const std::string map =
         "# location-map v1\nkitchen 1.0 2.0\nhall 3.5 4.5\n\"den x\" 9 9\n";
     const Tally t = fuzz_target(
-        map, iterations, seed ^ 0x3333, [](const std::string& b) {
+        map, iterations, seed ^ 0x3333, true, [](const std::string& b) {
           return loctk::wiscan::try_parse_location_map_buffer(b);
         });
     report("locmap", t, iterations);
@@ -276,6 +311,13 @@ int main(int argc, char** argv) {
                  escaped);
     return 1;
   }
+  if (oracle_mismatched != 0) {
+    std::fprintf(stderr,
+                 "FAIL: %ld wi-scan mutants parsed differently from the "
+                 "reference parser\n",
+                 oracle_mismatched);
+    return 1;
+  }
   if (mismatched != 0) {
     std::fprintf(stderr,
                  "FAIL: %ld parsed wi-scan mutants broke the interner's "
@@ -285,6 +327,6 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "all mutants handled: value or typed error, zero escapes, zero "
-      "mismatches\n");
+      "mismatches, zero oracle differences\n");
   return 0;
 }

@@ -6,8 +6,9 @@
 // Workload: a synthetic survey corpus written to a temp directory —
 // 64 locations x 150 scan passes x ~8 APs per pass (~75k rows,
 // ~4.5 MB of wi-scan text) plus the matching location map and `.ltdb`
-// encodings — and, for BM_ColdStart_Campus, a surveyed campus (240
-// rooms, 10 passes each). The "seed" BMs reproduce the growth seed's
+// encodings — and, for BM_ColdStart_Campus and the generate-only
+// BM_Generate_Campus rows, a surveyed campus (240 rooms, 10 passes
+// each). The "seed" BMs reproduce the growth seed's
 // getline + istringstream parser, std::map-grouped aggregation, and
 // ostringstream double-copy file slurp exactly as shipped, so the
 // JSON trajectory keeps an honest baseline as the reference paths
@@ -507,8 +508,13 @@ struct CampusSurvey {
   wiscan::LocationMap map;
 };
 
-void BM_ColdStart_Campus(benchmark::State& state) {
+const CampusSurvey& campus_survey() {
   static const CampusSurvey survey;
+  return survey;
+}
+
+void BM_ColdStart_Campus(benchmark::State& state) {
+  const CampusSurvey& survey = campus_survey();
   traindb::GeneratorConfig config;
   config.site_name = "campus";
   for (auto _ : state) {
@@ -519,6 +525,39 @@ void BM_ColdStart_Campus(benchmark::State& state) {
 }
 BENCHMARK(BM_ColdStart_Campus)
     ->Apply(bench::wall_clock)
+    ->Unit(benchmark::kMillisecond);
+
+// The generator alone over the campus collection, loaded once: the
+// serial core vs its per-location pool fan-out.
+const wiscan::Collection& campus_collection() {
+  static const wiscan::Collection collection =
+      wiscan::load_collection(campus_survey().dir);
+  return collection;
+}
+
+void BM_Generate_Campus(benchmark::State& state) {
+  const wiscan::Collection& collection = campus_collection();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        traindb::generate_database(collection, campus_survey().map));
+  }
+}
+BENCHMARK(BM_Generate_Campus)
+    ->Apply(bench::wall_clock)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_Generate_CampusParallel(benchmark::State& state) {
+  const wiscan::Collection& collection = campus_collection();
+  concurrency::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(traindb::generate_database_parallel(
+        collection, campus_survey().map, pool));
+  }
+}
+BENCHMARK(BM_Generate_CampusParallel)
+    ->Apply(bench::wall_clock)
+    ->Arg(2)
+    ->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
 // --- serve: the ingested database answering queries ------------------

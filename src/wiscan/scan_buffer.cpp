@@ -1,5 +1,7 @@
 #include "wiscan/scan_buffer.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <charconv>
 #include <cmath>
@@ -163,6 +165,12 @@ inline bool is_token_space(char c) {
   return c == ' ' || c == '\t' || c == '\v' || c == '\f' || c == '\r';
 }
 
+// ' ' or \t \n \v \f \r (0x09-0x0D): the bytes that end a token.
+inline bool is_delimiter(char c) {
+  const auto byte = static_cast<unsigned char>(c);
+  return byte <= ' ' && ((0x100003E00ULL >> byte) & 1) != 0;
+}
+
 // Yields whitespace-separated tokens of one line, istream >> style.
 struct TokenScanner {
   std::string_view line;
@@ -183,95 +191,150 @@ struct TokenScanner {
   }
 };
 
-double require_number(std::string_view text, const char* what,
-                      std::size_t line_no) {
-  const auto v = parse_number(text);
-  if (!v) {
-    throw FormatError(std::string(what) + ": not a number: '" +
-                      std::string(text) + "' (line " +
-                      std::to_string(line_no) + ")");
-  }
-  return *v;
+// --- eight bytes at a time ------------------------------------------
+
+constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
+constexpr std::uint64_t kHighBits = 0x8080808080808080ULL;
+
+// Sets the high bit of every byte of `word` below `n` (n <= 0x80) and
+// clears the rest. Each byte's low seven bits are added without a
+// carry into the next byte, so every mark is exact.
+constexpr std::uint64_t bytes_below(std::uint64_t word, std::uint64_t n) {
+  return ~(((word & ~kHighBits) + kOnes * (0x80 - n)) | word) & kHighBits;
 }
 
-// One row's fields; the strings are views into its line.
-struct RowFields {
-  std::string_view bssid;
-  std::string_view ssid;
-  double timestamp_s = 0.0;
-  double rssi_dbm = 0.0;
-  int channel = 0;
-  bool has_time = false;
-};
+template <typename Word = std::uint64_t>
+inline Word load(const char* p) {
+  Word word;
+  std::memcpy(&word, p, sizeof word);
+  return word;
+}
 
-// Fast path for the canonical row shape the toolkit's own writer
-// emits: `time=T bssid=B [ssid=S] [channel=C] rssi=R`, keys in that
-// order. Matching the expected key directly skips the per-token
-// dispatch chain of the generic loop. Returns false — with no fields
-// committed — whenever the row deviates (reordered or unknown keys,
-// extra whitespace, malformed numbers, empty values), and the generic
-// loop re-parses the whole line so diagnostics are identical
-// either way.
-bool parse_canonical_row(std::string_view line, RowFields& row,
-                         std::string_view& cached_time_token,
-                         double& cached_time_value) {
-  std::size_t pos = 0;
-  const std::size_t size = line.size();
-  // Matches `<key>=<value>` at `pos` followed by one space or the end
-  // of the line; yields the value and advances past the separator.
-  const auto take = [&](std::string_view key,
-                        std::string_view& value) -> bool {
-    if (!line.substr(pos).starts_with(key)) return false;
-    const std::size_t vbegin = pos + key.size();
-    std::size_t vend = vbegin;
-    while (vend < size && line[vend] != ' ') {
-      if (is_token_space(line[vend])) return false;  // generic loop
-      ++vend;
+// Index, in memory order, of the first marked byte.
+inline std::size_t first_marked(std::uint64_t marks) {
+  return static_cast<std::size_t>(std::endian::native == std::endian::little
+                                      ? std::countr_zero(marks) / 8
+                                      : std::countl_zero(marks) / 8);
+}
+
+// The first delimiter at or after `p`, or `end`. The word test finds
+// any byte up to ' '; in text that byte is the delimiter.
+const char* token_end(const char* p, const char* end) {
+  while (end - p >= 8) {
+    const std::uint64_t marks = bytes_below(load(p), ' ' + 1);
+    if (marks == 0) {
+      p += 8;
+      continue;
     }
-    if (vend == vbegin) return false;  // empty value: let it diagnose
-    value = line.substr(vbegin, vend - vbegin);
-    pos = vend < size ? vend + 1 : size;
+    p += first_marked(marks);
+    if (is_delimiter(*p)) return p;
+    ++p;  // another control byte, part of the token
+  }
+  while (p < end && !is_delimiter(*p)) ++p;
+  return p;
+}
+
+// Byte equality, a word at a time with an overlapping last word: three
+// compares for a MAC, two for a short SSID.
+inline bool same_key(std::string_view a, std::string_view b) {
+  const std::size_t n = a.size();
+  const char* x = a.data();
+  const char* y = b.data();
+  if (n != b.size()) return false;
+  if (n < 4) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (x[i] != y[i]) return false;
+    }
     return true;
-  };
+  }
+  if (n < 8) {
+    return load<std::uint32_t>(x) == load<std::uint32_t>(y) &&
+           load<std::uint32_t>(x + n - 4) == load<std::uint32_t>(y + n - 4);
+  }
+  for (std::size_t i = 0; i + 8 < n; i += 8) {
+    if (load(x + i) != load(y + i)) return false;
+  }
+  return load(x + n - 8) == load(y + n - 8);
+}
 
-  std::string_view value;
-  if (take("time=", value)) {
-    if (value == cached_time_token) {
-      row.timestamp_s = cached_time_value;
-    } else {
-      const auto t = parse_fixed_decimal(value);
-      if (!t) return false;
-      row.timestamp_s = *t;
-      cached_time_token = value;
-      cached_time_value = *t;
+[[noreturn, gnu::cold, gnu::noinline]] void throw_row_error(
+    std::size_t line_no, const std::string& what) {
+  throw FormatError("read_wiscan: line " + std::to_string(line_no) + ": " +
+                    what);
+}
+
+[[noreturn, gnu::cold, gnu::noinline]] void throw_bad_value(
+    const char* what, const char* begin, const char* end,
+    std::size_t line_no) {
+  throw FormatError(std::string("read_wiscan: ") + what + ": '" +
+                    std::string(begin, end) + "' (line " +
+                    std::to_string(line_no) + ")");
+}
+
+// Reads the number token at `value` into `out` (nullopt when it is not
+// a number), exactly as parse_number would, and returns the token's
+// end. A token of at most seven bytes is found in one 8-byte load, and
+// an integer among them (every timestamp, channel and dBm reading a
+// NIC reports) is converted from that word.
+const char* number_token(const char* value, const char* end,
+                         std::optional<double>& out) {
+  if (std::endian::native == std::endian::little && end - value >= 8) {
+    const std::uint64_t word = load(value);
+    const std::uint64_t marks = bytes_below(word, ' ' + 1);
+    const std::size_t len = marks == 0 ? 8 : first_marked(marks);
+    const std::size_t sign = *value == '-' || *value == '+' ? 1 : 0;
+    if (len < 8 && len > sign && is_delimiter(value[len])) {
+      const std::size_t n = len - sign;
+      const std::uint64_t lanes = ~std::uint64_t{0} >> (64 - 8 * n);
+      const std::uint64_t digits = (word >> (8 * sign)) & lanes;
+      if (((bytes_below(digits, '0') | ~bytes_below(digits, '9' + 1)) &
+           lanes & kHighBits) == 0) {
+        // Digit values, left-aligned so the unused bytes read as
+        // leading zeros, folded into 2-, 4- and 8-digit lanes.
+        std::uint64_t v = (digits - (kOnes * '0' & lanes)) << (64 - 8 * n);
+        v = (v * 10 + (v >> 8)) & 0x00FF00FF00FF00FFULL;
+        v = (v * 100 + (v >> 16)) & 0x0000FFFF0000FFFFULL;
+        v = (v * 10000 + (v >> 32)) & 0xFFFFFFFFULL;
+        out = *value == '-' ? -static_cast<double>(v) : static_cast<double>(v);
+        return value + len;
+      }
     }
-    row.has_time = true;
   }
-  if (!take("bssid=", row.bssid)) return false;
-  take("ssid=", row.ssid);  // optional
-  if (take("channel=", value)) {
-    const auto c = parse_fixed_decimal(value);
-    if (!c) return false;
-    row.channel = static_cast<int>(*c);
-  }
-  if (!take("rssi=", value)) return false;
-  const auto r = parse_fixed_decimal(value);
-  if (!r) return false;
-  row.rssi_dbm = *r;
-  return pos >= size;  // anything left over: generic loop
+  const char* stop = token_end(value, end);
+  out = parse_number({value, static_cast<std::size_t>(stop - value)});
+  return stop;
+}
+
+// number_token, or the "`what`: not a number" diagnostic.
+inline const char* read_number(const char* value, const char* end,
+                               const char* what, std::size_t line_no,
+                               double& out) {
+  std::optional<double> v;
+  const char* stop = number_token(value, end, v);
+  if (!v) throw_bad_value(what, value, stop, line_no);
+  out = *v;
+  return stop;
+}
+
+template <std::size_t N>
+inline bool key_at(const char* p, const char* end, const char (&key)[N]) {
+  return static_cast<std::size_t>(end - p) >= N - 1 &&
+         std::memcmp(p, key, N - 1) == 0;
 }
 
 }  // namespace
 
-// Builds the WiScanFile of one parse. BSSIDs and SSIDs are interned
-// through flat open-addressed tables keyed by `bssid_hash`; each table
+// Builds the WiScanFile of one parse. BSSIDs and SSIDs are interned as
+// views of their first occurrence in the text (copied out by `finish`)
+// through flat open-addressed tables keyed by `bssid_hash`. Each table
 // first tries the id that followed the previous row's string last
 // time, because scan passes list their APs in a stable order, so that
-// one compare usually replaces the hash probe.
+// one inline compare usually replaces the hash probe.
 class WiScanInterner {
  public:
-  explicit WiScanInterner(WiScanFile& file)
-      : file_(file), bssids_(file.bssids_), ssids_(file.ssids_) {}
+  explicit WiScanInterner(WiScanFile& file) : file_(file) {}
+
+  bool empty() const { return file_.rows_.empty(); }
 
   void reserve(std::size_t rows) { file_.rows_.reserve(rows); }
 
@@ -281,23 +344,28 @@ class WiScanInterner {
                            ssids_.intern(ssid), channel});
   }
 
+  void finish() {
+    bssids_.copy_to(file_.bssids_);
+    ssids_.copy_to(file_.ssids_);
+  }
+
  private:
   class Table {
    public:
-    explicit Table(std::vector<std::string>& strings) : strings_(strings) {}
-
     std::uint32_t intern(std::string_view key) {
-      std::uint32_t id = kNone;
       if (last_ != kNone) {
         const std::uint32_t guess = next_[last_];
-        if (guess != kNone && strings_[guess] == key) id = guess;
+        if (guess != kNone && same_key(keys_[guess], key)) {
+          return last_ = guess;
+        }
       }
-      if (id == kNone) {
-        id = find_or_insert(key);
-        if (last_ != kNone) next_[last_] = id;
-      }
-      last_ = id;
-      return id;
+      const std::uint32_t id = find_or_insert(key);
+      if (last_ != kNone) next_[last_] = id;
+      return last_ = id;
+    }
+
+    void copy_to(std::vector<std::string>& strings) const {
+      strings.assign(keys_.begin(), keys_.end());
     }
 
    private:
@@ -309,40 +377,40 @@ class WiScanInterner {
 
     std::uint32_t find_or_insert(std::string_view key) {
       // At most half full, so every probe ends at an empty cell.
-      if (2 * (strings_.size() + 1) > cells_.size()) grow();
+      if (2 * (keys_.size() + 1) > cells_.size()) grow();
       const std::uint64_t h = bssid_hash(key);
       const auto tag = static_cast<std::uint32_t>(h >> 32);
       const std::size_t mask = cells_.size() - 1;
       std::size_t cell = h & mask;
       for (; cells_[cell].id != kNone; cell = (cell + 1) & mask) {
-        if (cells_[cell].tag == tag && strings_[cells_[cell].id] == key) {
+        if (cells_[cell].tag == tag && same_key(keys_[cells_[cell].id], key)) {
           return cells_[cell].id;
         }
       }
-      const auto id = static_cast<std::uint32_t>(strings_.size());
+      const auto id = static_cast<std::uint32_t>(keys_.size());
       cells_[cell] = {tag, id};
-      strings_.emplace_back(key);
-      hashes_.push_back(h);
+      keys_.push_back(key);
       next_.push_back(kNone);
       return id;
     }
 
+    // Doubles the table (64 cells at first), rehashing every key.
     void grow() {
       std::vector<Cell> cells(std::max<std::size_t>(64, 2 * cells_.size()));
       const std::size_t mask = cells.size() - 1;
-      for (std::size_t id = 0; id < hashes_.size(); ++id) {
-        std::size_t cell = hashes_[id] & mask;
+      for (std::size_t id = 0; id < keys_.size(); ++id) {
+        const std::uint64_t h = bssid_hash(keys_[id]);
+        std::size_t cell = h & mask;
         while (cells[cell].id != kNone) cell = (cell + 1) & mask;
-        cells[cell] = {static_cast<std::uint32_t>(hashes_[id] >> 32),
+        cells[cell] = {static_cast<std::uint32_t>(h >> 32),
                        static_cast<std::uint32_t>(id)};
       }
       cells_ = std::move(cells);
     }
 
-    std::vector<std::string>& strings_;  // the file's table
+    std::vector<std::string_view> keys_;  // per id, in first-heard order
     std::vector<Cell> cells_;
-    std::vector<std::uint64_t> hashes_;  // per id, for regrowth
-    std::vector<std::uint32_t> next_;    // per id: the id that followed it
+    std::vector<std::uint32_t> next_;  // per id: the id that followed it
     std::uint32_t last_ = kNone;
   };
 
@@ -351,143 +419,148 @@ class WiScanInterner {
   Table ssids_;
 };
 
-namespace {
-
-// Upper bound on the rows of `text`, for one up-front reserve: one
-// row per line at most, and no row is shorter than `bssid=a rssi=1`
-// (14 bytes, 15 with its newline), so a file of blank lines cannot
-// reserve more rows than a file of the shortest rows would hold.
-// memchr, not std::count: the libc scanner runs at memory bandwidth.
-std::size_t row_upper_bound(std::string_view text) {
-  constexpr std::size_t kShortestRow = 14;
-  std::size_t lines = 1;
-  const char* cursor = text.data();
-  const char* const text_end = cursor + text.size();
-  while (cursor < text_end) {
-    const void* nl = std::memchr(
-        cursor, '\n', static_cast<std::size_t>(text_end - cursor));
-    if (nl == nullptr) break;
-    ++lines;
-    cursor = static_cast<const char*>(nl) + 1;
-  }
-  return std::min(lines, text.size() / kShortestRow + 1);
-}
-
-}  // namespace
-
 WiScanFile parse_wiscan_buffer(std::string_view text,
                                std::string_view fallback_location) {
   WiScanFile file;
   file.location = fallback_location;
   WiScanInterner rows(file);
-  rows.reserve(row_upper_bound(text));
-  LineScanner lines(text);
+  const char* p = text.data();
+  const char* const end = p + text.size();
+  std::size_t line_no = 0;
   double last_time = 0.0;
   // Every row of one scan pass carries the same time= token; remember
   // the last token's bytes so repeats skip the numeric parse.
   std::string_view cached_time_token;
   double cached_time_value = 0.0;
-  while (const auto maybe_line = lines.next()) {
-    const std::string_view line = *maybe_line;
-    const std::size_t line_no = lines.line_number();
-
-    if (line.empty()) continue;
-    // Data rows start at column zero; only indented or blank-ish lines
-    // pay for the leading-whitespace scan.
-    std::size_t first_nonspace = 0;
-    if (line[0] == ' ' || line[0] == '\t') {
-      first_nonspace = line.find_first_not_of(" \t");
-      if (first_nonspace == std::string_view::npos) continue;
-    }
-    if (line[first_nonspace] == '#') {
-      // Comments may carry the location header.
+  while (p < end) {
+    ++line_no;
+    const char* q = p;
+    while (q < end && (*q == ' ' || *q == '\t')) ++q;
+    // Blank (spaces and tabs before an LF or CRLF) and comment lines.
+    const bool blank = q == end || *q == '\n' ||
+                       (*q == '\r' && (q + 1 == end || q[1] == '\n'));
+    if (blank || *q == '#') {
+      const void* nl = std::memchr(q, '\n', static_cast<std::size_t>(end - q));
+      const char* line_end = nl == nullptr ? end : static_cast<const char*>(nl);
+      p = nl == nullptr ? end : line_end + 1;
+      if (blank) continue;
+      std::string_view line(q, static_cast<std::size_t>(line_end - q));
+      // Files written on Windows (the paper's toolkit environment).
+      if (line.ends_with('\r')) line.remove_suffix(1);
+      // Comments may carry the location header...
       static constexpr std::string_view kLocTag = "location:";
       const auto tag = line.find(kLocTag);
       if (tag != std::string_view::npos) {
         const std::string_view loc = trim(line.substr(tag + kLocTag.size()));
         if (!loc.empty()) file.location = loc;
       }
+      // ...and the writer's row count, which sizes the row vector once.
+      // No row is shorter than `bssid=a rssi=1` (14 bytes), which caps
+      // what a lying header can reserve.
+      static constexpr std::string_view kRowsTag = "# rows:";
+      if (rows.empty() && line.starts_with(kRowsTag)) {
+        const std::string_view count = trim(line.substr(kRowsTag.size()));
+        std::size_t n = 0;
+        const char* count_end = count.data() + count.size();
+        const auto [ptr, ec] = std::from_chars(count.data(), count_end, n);
+        if (ec == std::errc() && ptr == count_end) {
+          rows.reserve(std::min(n, text.size() / 14 + 1));
+        }
+      }
       continue;
     }
 
-    RowFields row;
-    if (first_nonspace == 0 &&
-        parse_canonical_row(line, row, cached_time_token,
-                            cached_time_value)) {
-      if (row.has_time) last_time = row.timestamp_s;
-      rows.add(last_time, row.bssid, row.ssid, row.channel, row.rssi_dbm);
-      continue;
-    }
-
-    // Rows without a time= key inherit the previous row's timestamp.
-    RowFields out;
-    out.timestamp_s = last_time;
-
+    // A row of key=value tokens in any order, keys dispatched on their
+    // first byte. No key holds a delimiter, so a value runs from its '='
+    // to the token's end. A row without time= keeps the previous time.
+    double timestamp_s = last_time;
+    std::string_view bssid;
+    std::string_view ssid;
+    int channel = 0;
+    double rssi_dbm = 0.0;
     bool have_bssid = false;
     bool have_rssi = false;
-
-    TokenScanner tokens{line};
-    while (const auto maybe_token = tokens.next()) {
-      const std::string_view token = *maybe_token;
-      // Known keys are matched by literal prefix (one fixed-length
-      // memcmp each, ordered by on-disk position) instead of locating
-      // '=' and slicing first — the '=' scan only runs for the rare
-      // unknown-key token.
-      if (token.starts_with("time=")) {
-        const std::string_view value = token.substr(5);
-        if (!value.empty() && value == cached_time_token) {
-          out.timestamp_s = cached_time_value;
-        } else {
-          out.timestamp_s =
-              require_number(value, "read_wiscan: time", line_no);
-          cached_time_token = value;
-          cached_time_value = out.timestamp_s;
+    const char* t = q;
+    for (;;) {
+      while (t < end && is_token_space(*t)) ++t;
+      if (t == end || *t == '\n') break;
+      const char* const token = t;
+      switch (*token) {
+        case 't': {
+          if (!key_at(token, end, "time=")) break;
+          const char* value = token + 5;
+          const std::size_t n = cached_time_token.size();
+          if (n != 0 && static_cast<std::size_t>(end - value) > n &&
+              is_delimiter(value[n]) && same_key({value, n}, cached_time_token)) {
+            timestamp_s = cached_time_value;
+            t = value + n;
+            continue;
+          }
+          t = read_number(value, end, "time: not a number", line_no,
+                          timestamp_s);
+          if (!std::isfinite(timestamp_s)) {
+            throw_bad_value("time not finite", value, t, line_no);
+          }
+          cached_time_token = {value, static_cast<std::size_t>(t - value)};
+          cached_time_value = timestamp_s;
+          continue;
         }
-      } else if (token.starts_with("bssid=")) {
-        out.bssid = token.substr(6);
-        have_bssid = true;
-      } else if (token.starts_with("ssid=")) {
-        out.ssid = token.substr(5);
-      } else if (token.starts_with("channel=")) {
-        out.channel = static_cast<int>(require_number(
-            token.substr(8), "read_wiscan: channel", line_no));
-      } else if (token.starts_with("rssi=")) {
-        out.rssi_dbm =
-            require_number(token.substr(5), "read_wiscan: rssi", line_no);
-        // parse_number accepts "inf"/"nan" spellings (from_chars does);
-        // a non-finite dBm would flow into Welford accumulation and
-        // Gaussian sigma math downstream, so reject it at the row.
-        if (!std::isfinite(out.rssi_dbm)) {
-          throw FormatError("read_wiscan: rssi not finite: '" +
-                            std::string(token.substr(5)) + "' (line " +
-                            std::to_string(line_no) + ")");
+        case 'b':
+          if (!key_at(token, end, "bssid=")) break;
+          t = token_end(token + 6, end);
+          bssid = {token + 6, static_cast<std::size_t>(t - token - 6)};
+          have_bssid = true;
+          continue;
+        case 's':
+          if (!key_at(token, end, "ssid=")) break;
+          t = token_end(token + 5, end);
+          ssid = {token + 5, static_cast<std::size_t>(t - token - 5)};
+          continue;
+        case 'c': {
+          if (!key_at(token, end, "channel=")) break;
+          double c = 0.0;
+          t = read_number(token + 8, end, "channel: not a number", line_no, c);
+          // Truncation to int is defined strictly inside (INT_MIN - 1,
+          // INT_MAX + 1); NaN fails both compares.
+          if (!(c > -2147483649.0 && c < 2147483648.0)) {
+            throw_bad_value("channel out of range", token + 8, t, line_no);
+          }
+          channel = static_cast<int>(c);
+          continue;
         }
-        have_rssi = true;
-      } else {
-        const auto eq = token.find('=');
-        if (eq == std::string_view::npos || eq == 0) {
-          throw FormatError("read_wiscan: line " + std::to_string(line_no) +
-                            ": expected key=value, got '" +
-                            std::string(token) + "'");
-        }
-        // Unknown keys: ignored deliberately (forward compatibility).
+        case 'r':
+          if (!key_at(token, end, "rssi=")) break;
+          t = read_number(token + 5, end, "rssi: not a number", line_no,
+                          rssi_dbm);
+          // parse_number accepts "inf"/"nan" spellings (from_chars does);
+          // a non-finite dBm would flow into Welford accumulation and
+          // Gaussian sigma math downstream, so reject it at the row.
+          if (!std::isfinite(rssi_dbm)) {
+            throw_bad_value("rssi not finite", token + 5, t, line_no);
+          }
+          have_rssi = true;
+          continue;
+        default:
+          break;
+      }
+      // Unknown keys are ignored deliberately (forward compatibility); a
+      // token without one is malformed.
+      t = token_end(token, end);
+      const std::string_view bare(token, static_cast<std::size_t>(t - token));
+      const auto eq = bare.find('=');
+      if (eq == std::string_view::npos || eq == 0) {
+        throw_row_error(line_no,
+                        "expected key=value, got '" + std::string(bare) + "'");
       }
     }
-    if (!have_bssid) {
-      throw FormatError("read_wiscan: line " + std::to_string(line_no) +
-                        ": missing bssid");
-    }
-    if (out.bssid.empty()) {
-      throw FormatError("read_wiscan: line " + std::to_string(line_no) +
-                        ": empty bssid");
-    }
-    if (!have_rssi) {
-      throw FormatError("read_wiscan: line " + std::to_string(line_no) +
-                        ": missing rssi");
-    }
-    last_time = out.timestamp_s;
-    rows.add(out.timestamp_s, out.bssid, out.ssid, out.channel, out.rssi_dbm);
+    if (!have_bssid) throw_row_error(line_no, "missing bssid");
+    if (bssid.empty()) throw_row_error(line_no, "empty bssid");
+    if (!have_rssi) throw_row_error(line_no, "missing rssi");
+    last_time = timestamp_s;
+    rows.add(timestamp_s, bssid, ssid, channel, rssi_dbm);
+    p = t == end ? end : t + 1;
   }
+  rows.finish();
   return file;
 }
 
@@ -546,6 +619,12 @@ LocationMap parse_location_map_buffer(std::string_view text) {
         throw LocationMapError("location-map: line " +
                                std::to_string(line_no) +
                                ": expected two coordinates after name");
+      }
+      if (!std::isfinite(*value)) {
+        throw LocationMapError("location-map: line " +
+                               std::to_string(line_no) +
+                               ": coordinate not finite: '" +
+                               std::string(*token) + "'");
       }
       v = *value;
     }

@@ -67,18 +67,20 @@ class LineScanner {
 };
 
 /// Buffer-oriented wi-scan parser: same grammar, rules, and
-/// diagnostics as `read_wiscan`, driven by string_view slicing. Rows
-/// in the toolkit writer's canonical key order take a fast path; every
-/// other row goes through a generic key=value loop. Throws FormatError
-/// (declared in format.hpp) with line numbers on malformed rows,
-/// including a missing or empty `bssid`.
+/// diagnostics as `read_wiscan`. One key=value loop reads every row,
+/// finding token and line ends eight bytes at a time and dispatching
+/// keys on their first byte; the writer's `# rows:` header sizes the
+/// row vector. Throws FormatError (declared in format.hpp) with line
+/// numbers on malformed rows: a missing or empty `bssid`, a missing or
+/// non-numeric `rssi`, a non-finite time or dBm, or a channel outside
+/// `int`.
 WiScanFile parse_wiscan_buffer(std::string_view text,
                                std::string_view fallback_location = {});
 
 /// Buffer-oriented location-map parser. Unlike the seed's
 /// `istringstream >> double` loop it rejects trailing garbage after
-/// the two coordinates with a line diagnostic. Throws
-/// LocationMapError.
+/// the two coordinates, and non-finite coordinates, with a line
+/// diagnostic. Throws LocationMapError.
 LocationMap parse_location_map_buffer(std::string_view text);
 
 /// --- structured-error adapters ---------------------------------------

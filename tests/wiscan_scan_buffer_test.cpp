@@ -179,12 +179,28 @@ TEST(WiScanBuffer, EmptyBssidIsRejectedWithLineDiagnostic) {
 }
 
 TEST(WiScanBuffer, BlankLinesReserveAtMostOneRowPerShortestRow) {
-  // One row per newline would reserve a row for every blank line; the
-  // reserve is bounded by the 14-byte shortest row instead.
+  // The row vector is sized from the writer's `# rows:` header, capped
+  // by the 14-byte shortest row, so neither blank lines nor a header
+  // that overstates the count reserve more than the bytes could hold.
   const std::string text(std::size_t{1} << 20, '\n');
   const WiScanFile f = parse_wiscan_buffer(text);
   EXPECT_EQ(f.size(), 0u);
   EXPECT_LE(f.rows().capacity(), text.size() / 14 + 1);
+  const std::string lying = "# rows: 1000000000\nbssid=a rssi=1\n";
+  EXPECT_LE(parse_wiscan_buffer(lying).rows().capacity(),
+            lying.size() / 14 + 1);
+}
+
+TEST(WiScanBuffer, RowsHeaderReservesExactly) {
+  WiScanFile f;
+  for (int t = 0; t < 50; ++t) f.add({t * 1.0, "aa", "net", 6, -50.0 - t});
+  const WiScanFile parsed = parse_wiscan_buffer(encode_wiscan(f));
+  EXPECT_EQ(parsed, f);
+  EXPECT_EQ(parsed.rows().capacity(), 50u);
+  // Without the header the vector grows as rows arrive.
+  const std::string text = encode_wiscan(f);
+  const std::size_t header_end = text.find("time=");
+  EXPECT_EQ(parse_wiscan_buffer(text.substr(header_end)), parsed);
 }
 
 TEST(WiScanBuffer, NonFiniteRssiIsRejectedWithLineDiagnostic) {
@@ -199,6 +215,57 @@ TEST(WiScanBuffer, NonFiniteRssiIsRejectedWithLineDiagnostic) {
   EXPECT_THROW(parse_wiscan_buffer("bssid=aa rssi=inf\n"), FormatError);
   EXPECT_THROW(parse_wiscan_buffer("bssid=aa rssi=-inf\n"), FormatError);
   EXPECT_THROW(parse_wiscan_buffer("bssid=aa rssi=1e999\n"), FormatError);
+}
+
+// A channel is stored as an int; converting a value outside int (or a
+// non-finite one) is undefined, so each is rejected at its row.
+void expect_channel_rejected(const std::string& value) {
+  const std::string msg = message_of<FormatError>([&] {
+    parse_wiscan_buffer("bssid=aa rssi=-50\nbssid=bb rssi=-60 channel=" +
+                        value + "\n");
+  });
+  EXPECT_EQ(msg, "read_wiscan: channel out of range: '" + value +
+                     "' (line 2)");
+}
+
+TEST(WiScanBuffer, HugeChannelIsRejectedWithLineDiagnostic) {
+  expect_channel_rejected("1e300");
+}
+
+TEST(WiScanBuffer, NanChannelIsRejectedWithLineDiagnostic) {
+  expect_channel_rejected("nan");
+}
+
+TEST(WiScanBuffer, NegativeInfiniteChannelIsRejectedWithLineDiagnostic) {
+  expect_channel_rejected("-inf");
+}
+
+TEST(WiScanBuffer, ElevenDigitChannelIsRejectedWithLineDiagnostic) {
+  expect_channel_rejected("99999999999");
+  // The writer's canonical key order takes the same check.
+  EXPECT_THROW(parse_wiscan_buffer("time=0 bssid=aa channel=99999999999 "
+                                   "rssi=-50\n"),
+               FormatError);
+  // Finite in-range channels still truncate toward zero.
+  const WiScanFile f = parse_wiscan_buffer(
+      "bssid=aa rssi=-50 channel=6.9\n"
+      "bssid=aa rssi=-50 channel=-2147483648.5\n"
+      "bssid=aa rssi=-50 channel=2147483647.5\n");
+  EXPECT_EQ(f.rows()[0].channel, 6);
+  EXPECT_EQ(f.rows()[1].channel, -2147483647 - 1);
+  EXPECT_EQ(f.rows()[2].channel, 2147483647);
+}
+
+TEST(WiScanBuffer, NanTimeIsRejectedWithLineDiagnostic) {
+  // A NaN timestamp differs from itself, so scan_count would count
+  // every such row as a new scan pass.
+  const std::string msg = message_of<FormatError>([] {
+    parse_wiscan_buffer("time=1 bssid=aa rssi=-50\ntime=nan bssid=bb "
+                        "rssi=-60\n");
+  });
+  EXPECT_EQ(msg, "read_wiscan: time not finite: 'nan' (line 2)");
+  EXPECT_THROW(parse_wiscan_buffer("time=-inf bssid=aa rssi=-50\n"),
+               FormatError);
 }
 
 TEST(WiScanBuffer, NonNumericTimeAndChannelThrow) {
@@ -371,6 +438,15 @@ TEST(LocationMapBuffer, TrailingGarbageIsRejectedNotSilentlyDropped) {
   EXPECT_NE(msg.find("trailing garbage"), std::string::npos) << msg;
   EXPECT_NE(msg.find("'9.9'"), std::string::npos) << msg;
   EXPECT_NE(msg.find("line 2"), std::string::npos) << msg;
+}
+
+TEST(LocationMapBuffer, NonFiniteCoordinatesAreRejectedWithLineDiagnostic) {
+  const std::string msg = message_of<LocationMapError>([] {
+    parse_location_map_buffer("hall 1.0 2.0\nroom nan inf\n");
+  });
+  EXPECT_EQ(msg, "location-map: line 2: coordinate not finite: 'nan'");
+  EXPECT_THROW(parse_location_map_buffer("room 1.0 inf\n"), LocationMapError);
+  EXPECT_THROW(parse_location_map_buffer("room -1e999 2\n"), LocationMapError);
 }
 
 TEST(LocationMapBuffer, UnterminatedQuoteThrows) {
