@@ -3,14 +3,17 @@
 //
 // Workload: a larger office floor (120x80 ft, 6 APs) surveyed on a
 // 5-ft grid gives a few hundred training points — enough for the
-// parallel builder and the grid locator to matter.
+// parallel builder and the grid locator to matter. Every row is timed
+// on the wall clock and repeated 5 times (bench::wall_clock): the
+// parallel rows hand their work to a pool, so the main thread's CPU
+// time would undercount them.
 
 #include <benchmark/benchmark.h>
 
+#include "bench_metrics.hpp"
 #include "bench_util.hpp"
 #include "concurrency/parallel_for.hpp"
 #include "core/grid_locator.hpp"
-#include "core/signal_index.hpp"
 #include "core/knn.hpp"
 #include "core/probabilistic.hpp"
 #include "traindb/generator.hpp"
@@ -54,7 +57,9 @@ void BM_GenerateSerial(benchmark::State& state) {
         traindb::generate_database(c.collection, c.map));
   }
 }
-BENCHMARK(BM_GenerateSerial)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GenerateSerial)
+    ->Apply(bench::wall_clock)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_GenerateParallel(benchmark::State& state) {
   const OfficeCorpus& c = office();
@@ -65,7 +70,9 @@ void BM_GenerateParallel(benchmark::State& state) {
         traindb::generate_database_parallel(c.collection, c.map, pool));
   }
 }
-BENCHMARK(BM_GenerateParallel)->Arg(2)->Arg(4)->Arg(8)
+BENCHMARK(BM_GenerateParallel)
+    ->Apply(bench::wall_clock)
+    ->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
 void BM_GridLocateSerial(benchmark::State& state) {
@@ -79,7 +86,9 @@ void BM_GridLocateSerial(benchmark::State& state) {
     benchmark::DoNotOptimize(locator.locate(c.observation));
   }
 }
-BENCHMARK(BM_GridLocateSerial)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GridLocateSerial)
+    ->Apply(bench::wall_clock)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_GridLocateParallel(benchmark::State& state) {
   const OfficeCorpus& c = office();
@@ -92,7 +101,9 @@ void BM_GridLocateParallel(benchmark::State& state) {
     benchmark::DoNotOptimize(locator.locate(c.observation));
   }
 }
-BENCHMARK(BM_GridLocateParallel)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GridLocateParallel)
+    ->Apply(bench::wall_clock)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_KnnBruteForce(benchmark::State& state) {
   const OfficeCorpus& c = office();
@@ -101,24 +112,9 @@ void BM_KnnBruteForce(benchmark::State& state) {
     benchmark::DoNotOptimize(knn.locate(c.observation));
   }
 }
-BENCHMARK(BM_KnnBruteForce)->Unit(benchmark::kMicrosecond);
-
-void BM_KnnKdTreeIndex(benchmark::State& state) {
-  const OfficeCorpus& c = office();
-  const core::SignalIndex index(c.db);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(index.nearest(c.observation, 3));
-  }
-}
-BENCHMARK(BM_KnnKdTreeIndex)->Unit(benchmark::kMicrosecond);
-
-void BM_KdTreeBuild(benchmark::State& state) {
-  const OfficeCorpus& c = office();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::SignalIndex(c.db));
-  }
-}
-BENCHMARK(BM_KdTreeBuild)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_KnnBruteForce)
+    ->Apply(bench::wall_clock)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_ProbabilisticLocate(benchmark::State& state) {
   const OfficeCorpus& c = office();
@@ -127,7 +123,9 @@ void BM_ProbabilisticLocate(benchmark::State& state) {
     benchmark::DoNotOptimize(locator.locate(c.observation));
   }
 }
-BENCHMARK(BM_ProbabilisticLocate)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ProbabilisticLocate)
+    ->Apply(bench::wall_clock)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_ParallelForOverhead(benchmark::State& state) {
   concurrency::ThreadPool pool(4);
@@ -139,7 +137,9 @@ void BM_ParallelForOverhead(benchmark::State& state) {
     benchmark::DoNotOptimize(sink.data());
   }
 }
-BENCHMARK(BM_ParallelForOverhead)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ParallelForOverhead)
+    ->Apply(bench::wall_clock)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_ScanSimulation(benchmark::State& state) {
   const OfficeCorpus& c = office();
@@ -148,8 +148,10 @@ void BM_ScanSimulation(benchmark::State& state) {
     benchmark::DoNotOptimize(scanner.scan_at({33.0, 44.0}));
   }
 }
-BENCHMARK(BM_ScanSimulation)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ScanSimulation)
+    ->Apply(bench::wall_clock)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+LOCTK_BENCHMARK_MAIN_WITH_METRICS("perf_parallel")

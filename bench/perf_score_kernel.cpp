@@ -26,6 +26,7 @@
 #include "core/knn.hpp"
 #include "core/probabilistic.hpp"
 #include "stats/gaussian.hpp"
+#include "testkit/locator_reference.hpp"
 #include "traindb/generator.hpp"
 #include "wiscan/survey.hpp"
 
@@ -132,7 +133,8 @@ void BM_ScoreAll_ReferenceMerge(benchmark::State& state) {
     double best = -1e300;
     for (const traindb::TrainingPoint& p : c.db.points()) {
       int common = 0;
-      const double ll = locator.log_likelihood(c.observation, p, &common);
+      const double ll = testkit::reference_log_likelihood(
+          locator, c.observation, p, &common);
       if (common >= 1 && ll > best) best = ll;
     }
     benchmark::DoNotOptimize(best);
@@ -238,8 +240,7 @@ BENCHMARK(BM_Batch64_DenseParallel)
     ->Unit(benchmark::kMillisecond);
 
 // The v2 scoring engine: cache-blocked score_batch throughput
-// (observations/sec via items_per_second) and the coarse-to-fine
-// pruned k-NN path. `simd` in the counters
+// (observations/sec via items_per_second). `simd` in the counters
 // records which backend the binary dispatched to ("avx2"/"neon" = 1,
 // scalar fallback = 0) so the JSON trajectory stays interpretable
 // across build configurations.
@@ -273,19 +274,6 @@ BENCHMARK(BM_ScoreBatch64_BlockedParallel)
     ->Arg(2)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);
-
-void BM_Knn_Pruned(benchmark::State& state) {
-  const OfficeCorpus& c = office();
-  const core::KnnLocator knn(
-      c.db, core::KnnConfig{.k = 3, .prune_top_k = 32});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(knn.locate(c.observation));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_Knn_Pruned)
-    ->Apply(bench::wall_clock)
-    ->Unit(benchmark::kMicrosecond);
 
 // Compilation cost itself, to show it amortizes.
 void BM_CompileDatabase(benchmark::State& state) {

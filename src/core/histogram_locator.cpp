@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "core/score_kernels.hpp"
+#include "stats/histogram.hpp"
 
 namespace loctk::core {
 
@@ -25,25 +26,13 @@ HistogramLocator::HistogramLocator(
   bins_ = static_cast<std::size_t>(std::max(
       1.0, std::ceil((config_.hi_dbm - config_.lo_dbm) /
                      config_.bin_width_db)));
-  histograms_.reserve(db.size());
-  for (const traindb::TrainingPoint& p : db.points()) {
-    std::vector<stats::Histogram> per_ap;
-    per_ap.reserve(p.per_ap.size());
-    for (const traindb::ApStatistics& s : p.per_ap) {
-      stats::Histogram h(config_.lo_dbm, config_.hi_dbm, bins_);
-      for (const std::int32_t centi : s.samples_centi_dbm) {
-        h.add(static_cast<double>(centi) / 100.0);
-      }
-      per_ap.push_back(std::move(h));
-    }
-    histograms_.push_back(std::move(per_ap));
-  }
 
-  // Flatten every histogram into per-bin log-probabilities, stored
-  // points-major: one padded column of training points per
-  // <slot, bin> cell, so scoring is SIMD axpys across points instead
-  // of per-point table walks. Pad cells stay 0.0 and the transposed
-  // mask gates untrained pairs exactly as the row-major walk did.
+  // Histogram every <point, AP>'s retained samples and flatten it into
+  // per-bin log-probabilities, stored points-major: one padded column
+  // of training points per <slot, bin> cell, so scoring is SIMD axpys
+  // across points instead of per-point table walks. Pad cells stay 0.0
+  // and the transposed mask gates untrained pairs exactly as the
+  // row-major walk did.
   const std::size_t points = compiled_->point_count();
   const std::size_t universe = compiled_->universe_size();
   const std::size_t row = bins_ + 1;
@@ -58,10 +47,13 @@ HistogramLocator::HistogramLocator(
     for (std::size_t u = 0; u < universe; ++u) {
       mask_cols_[u * point_stride_ + p] = mask[u];
     }
-    for (std::size_t a = 0; a < tp.per_ap.size(); ++a) {
-      const auto slot = compiled_->slot_of(tp.per_ap[a].bssid);
+    for (const traindb::ApStatistics& s : tp.per_ap) {
+      const auto slot = compiled_->slot_of(s.bssid);
       if (!slot) continue;
-      const stats::Histogram& h = histograms_[p][a];
+      stats::Histogram h(config_.lo_dbm, config_.hi_dbm, bins_);
+      for (const std::int32_t centi : s.samples_centi_dbm) {
+        h.add(static_cast<double>(centi) / 100.0);
+      }
       const std::size_t base = *slot * row;
       const double denom =
           static_cast<double>(h.total()) +
@@ -108,42 +100,6 @@ std::vector<HistogramLocator::SlotBins> HistogramLocator::compile_query(
     out.push_back(std::move(sb));
   }
   return out;
-}
-
-double HistogramLocator::log_likelihood(const Observation& obs,
-                                        std::size_t point_index) const {
-  const traindb::TrainingPoint& point =
-      compiled_->database().points().at(point_index);
-  const auto& hists = histograms_.at(point_index);
-
-  double total = 0.0;
-  for (std::size_t a = 0; a < point.per_ap.size(); ++a) {
-    const traindb::ApStatistics& s = point.per_ap[a];
-    const ObservedAp* oap = obs.find(s.bssid);
-    if (!oap) {
-      total += config_.missing_ap_log_penalty;
-      continue;
-    }
-    // Score every raw reading; fall back to the mean when the
-    // observation kept no raw values.
-    if (oap->samples_dbm.empty()) {
-      total += std::log(hists[a].probability(oap->mean_dbm, config_.alpha));
-    } else {
-      // Average the per-reading log-probabilities so a long dwell does
-      // not dominate the per-AP terms.
-      double ap_sum = 0.0;
-      for (const double v : oap->samples_dbm) {
-        ap_sum += std::log(hists[a].probability(v, config_.alpha));
-      }
-      total += ap_sum / static_cast<double>(oap->samples_dbm.size());
-    }
-  }
-  for (const ObservedAp& oap : obs.aps()) {
-    if (point.find(oap.bssid) == nullptr) {
-      total += config_.missing_ap_log_penalty;
-    }
-  }
-  return total;
 }
 
 LocationEstimate HistogramLocator::locate_compiled(

@@ -17,15 +17,16 @@
 /// table is stored points-major (one padded, 64-byte-aligned column
 /// of training points per <slot, bin> cell), so scoring vectorizes
 /// across training points: each observed (slot, bin, count) is one
-/// SIMD axpy over the whole column. The per-index `log_likelihood()`
-/// keeps the readable string-keyed reference form.
+/// SIMD axpy over the whole column. The string-keyed reference
+/// likelihood the differential oracle checks it against rebuilds the
+/// histograms from the database's samples; it lives in
+/// testkit/locator_reference.hpp.
 
 #include <cstdint>
 #include <vector>
 
 #include "core/compiled_db.hpp"
 #include "core/locator.hpp"
-#include "stats/histogram.hpp"
 
 namespace loctk::core {
 
@@ -53,11 +54,6 @@ class HistogramLocator : public CompiledLocator {
 
   std::string name() const override { return "histogram"; }
 
-  /// Log-likelihood of the observation's raw readings at training
-  /// point index `point_index` (string-keyed reference form).
-  double log_likelihood(const Observation& obs,
-                        std::size_t point_index) const;
-
  protected:
   LocationEstimate locate_compiled(
       const CompiledObservation& q) const override;
@@ -80,8 +76,6 @@ class HistogramLocator : public CompiledLocator {
   /// Training points padded up to a simd::kLanes multiple — the
   /// column length of every transposed table below.
   std::size_t point_stride_ = 0;
-  /// histograms_[point][ap-slot] aligned with points()[i].per_ap.
-  std::vector<std::vector<stats::Histogram>> histograms_;
   /// Points-major log-probability table: the column for <slot, bin>
   /// starts at cols_[(slot * (bins_ + 1) + bin) * point_stride_];
   /// bin == bins_ is the out-of-range cell. Cells for untrained

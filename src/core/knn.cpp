@@ -4,7 +4,6 @@
 #include <cmath>
 #include <vector>
 
-#include "base/metrics.hpp"
 #include "core/score_kernels.hpp"
 
 namespace loctk::core {
@@ -30,29 +29,10 @@ KnnLocator::KnnLocator(std::shared_ptr<const CompiledDatabase> compiled,
       row[u] = mask[u] != 0.0 ? mean[u] : config_.missing_dbm;
     }
   }
-  if (config_.prune_top_k > 0) {
-    pruner_ = std::make_shared<const CandidatePruner>(
-        compiled_, PrunerConfig{.strongest_aps = config_.prune_strongest_aps,
-                                .top_k = config_.prune_top_k});
-  }
 }
 
 std::string KnnLocator::name() const {
   return config_.k == 1 ? "nnss" : "knn-" + std::to_string(config_.k);
-}
-
-double KnnLocator::signal_distance(
-    const Observation& obs, const traindb::TrainingPoint& point) const {
-  const auto& universe = compiled_->database().bssid_universe();
-  double sum2 = 0.0;
-  for (const std::string& bssid : universe) {
-    const traindb::ApStatistics* trained = point.find(bssid);
-    const auto observed = obs.mean_of(bssid);
-    const double a = trained ? trained->mean_dbm : config_.missing_dbm;
-    const double b = observed.value_or(config_.missing_dbm);
-    sum2 += (a - b) * (a - b);
-  }
-  return std::sqrt(sum2);
 }
 
 LocationEstimate KnnLocator::locate_compiled(
@@ -74,26 +54,11 @@ LocationEstimate KnnLocator::locate_compiled(
     double distance;
   };
   std::vector<Neighbor> neighbors;
-  auto rank_row = [&](std::size_t p) {
+  neighbors.reserve(points);
+  for (std::size_t p = 0; p < points; ++p) {
     const double sum2 = kernels::sq_dist_row<simd::Vec4d>(
         filled_.data() + p * stride, query.data(), stride);
     neighbors.push_back({&compiled_->point(p), std::sqrt(sum2)});
-  };
-  // Coarse-to-fine: rank only the prefiltered candidates (exact
-  // distances), or everything when pruning is off or degenerate.
-  std::vector<std::uint32_t> candidates;
-  if (pruner_) candidates = pruner_->select(cq);
-  if (!candidates.empty()) {
-    neighbors.reserve(candidates.size());
-    for (const std::uint32_t p : candidates) rank_row(p);
-  } else {
-    if (pruner_) {
-      static metrics::Counter& fallback_full =
-          metrics::counter("score.prune.fallback_full");
-      fallback_full.increment();
-    }
-    neighbors.reserve(points);
-    for (std::size_t p = 0; p < points; ++p) rank_row(p);
   }
   const std::size_t k =
       std::min<std::size_t>(static_cast<std::size_t>(config_.k),

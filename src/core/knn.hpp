@@ -11,7 +11,6 @@
 /// which can land *between* training points — something the paper's
 /// §5.1 locator cannot do.
 
-#include "core/candidate_pruner.hpp"
 #include "core/compiled_db.hpp"
 #include "core/locator.hpp"
 
@@ -25,21 +24,15 @@ struct KnnConfig {
   double weighting_epsilon = 1e-3;
   /// Sentinel RSSI for APs missing on either side (dBm).
   double missing_dbm = -100.0;
-  /// Coarse-to-fine pruning: when > 0, locate() ranks only the
-  /// candidate rows the strongest-AP prefilter returns (distances
-  /// computed with the exact kernel) and falls back to the full
-  /// sweep when the prefilter is degenerate. 0 = exhaustive.
-  int prune_top_k = 0;
-  /// Strongest observed APs seeding the prefilter.
-  int prune_strongest_aps = 4;
 };
 
 /// k-nearest-neighbor in signal space. k = 1 gives plain NNSS.
 ///
-/// locate() runs over a dense `points x universe` signature matrix
-/// with missing APs pre-filled, so the inner loop is a plain squared
-/// distance between double vectors; `signal_distance` keeps the
-/// string-keyed reference form.
+/// locate() sweeps a dense `points x universe` signature matrix with
+/// missing APs pre-filled, so the inner loop is a plain squared
+/// distance between double vectors. The string-keyed reference
+/// distance the differential oracle checks it against lives in
+/// testkit/locator_reference.hpp.
 class KnnLocator : public CompiledLocator {
  public:
   explicit KnnLocator(const traindb::TrainingDatabase& db,
@@ -51,12 +44,6 @@ class KnnLocator : public CompiledLocator {
 
   std::string name() const override;
 
-  /// Euclidean distance in signal space between the observation and a
-  /// training point, over the database's BSSID universe (reference
-  /// implementation; locate() uses the compiled kernel).
-  double signal_distance(const Observation& obs,
-                         const traindb::TrainingPoint& point) const;
-
   const KnnConfig& config() const { return config_; }
 
  protected:
@@ -65,8 +52,6 @@ class KnnLocator : public CompiledLocator {
 
  private:
   KnnConfig config_;
-  /// Built when config_.prune_top_k > 0.
-  std::shared_ptr<const CandidatePruner> pruner_;
   /// Row-major points x row_stride() mean signatures with
   /// `missing_dbm` filled at untrained slots; 64-byte aligned, and
   /// pad cells are 0.0 on both the matrix and the query side so the

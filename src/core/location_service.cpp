@@ -35,6 +35,13 @@ metrics::Gauge& innovation_gauge() {
   return g;
 }
 
+/// Gives a buffer's memory back once its capacity exceeds four times
+/// what it holds (plus a few elements, so small scans never churn).
+template <class Buffer>
+void give_back_slack(Buffer& b) {
+  if (b.capacity() > 4 * b.size() + 64) b.shrink_to_fit();
+}
+
 }  // namespace
 
 LocationService::LocationService(LocationServiceConfig config)
@@ -126,17 +133,31 @@ void LocationService::push_scan(const radio::ScanRecord& scan) {
   entry->rssi_dbm.clear();
   // A NIC driver glitch or hostile replay can hand us inf/nan dBm;
   // once inside the window it would poison every mean the locator
-  // sees until the window drains. Drop such samples at the door.
+  // sees until the window drains. Drop such samples at the door, and
+  // every sample of an over-cap scan.
+  const bool over_cap =
+      scan.samples.size() > kMaxScanSamples ||
+      std::any_of(scan.samples.begin(), scan.samples.end(),
+                  [](const radio::ScanSample& s) {
+                    return s.bssid.size() > kMaxBssidBytes;
+                  });
   std::size_t rejected = 0;
-  for (const radio::ScanSample& s : scan.samples) {
-    if (!std::isfinite(s.rssi_dbm)) {
-      ++rejected;
-      continue;
+  if (over_cap) {
+    rejected = scan.samples.size();
+  } else {
+    for (const radio::ScanSample& s : scan.samples) {
+      if (!std::isfinite(s.rssi_dbm)) {
+        ++rejected;
+        continue;
+      }
+      entry->bssids += s.bssid;
+      entry->bssid_ends.push_back(entry->bssids.size());
+      entry->rssi_dbm.push_back(s.rssi_dbm);
     }
-    entry->bssids += s.bssid;
-    entry->bssid_ends.push_back(entry->bssids.size());
-    entry->rssi_dbm.push_back(s.rssi_dbm);
   }
+  give_back_slack(entry->bssids);
+  give_back_slack(entry->bssid_ends);
+  give_back_slack(entry->rssi_dbm);
   if (rejected > 0) {
     rejected_samples_ += rejected;
     rejected_samples_counter().add(rejected);
@@ -281,6 +302,8 @@ const CompiledObservation& LocationService::fold_window(
     a = b;
   }
   q.total_aps = q.slots.size() + static_cast<std::size_t>(q.outside_universe);
+  give_back_slack(run_);
+  give_back_slack(unknown_);
   f.clean = true;
   run_for_ = db.id();
   return q;

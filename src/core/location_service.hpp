@@ -74,6 +74,17 @@ struct ServiceFix {
 /// Stateful per-client localization session.
 class LocationService {
  public:
+  /// Hard caps on one scan, so a hostile or broken client cannot make
+  /// a session hold memory out of proportion to real scans. A real NIC
+  /// scan holds at most a few hundred APs (the 1020-AP campus is the
+  /// largest universe here) and a MAC-style BSSID is 17 bytes. A scan
+  /// with more samples than kMaxScanSamples, or with any BSSID longer
+  /// than kMaxBssidBytes, enters the window with no samples, as a scan
+  /// whose every sample is non-finite does, and all its samples count
+  /// in rejected_samples().
+  static constexpr std::size_t kMaxScanSamples = 1024;
+  static constexpr std::size_t kMaxBssidBytes = 64;
+
   /// `locator` must outlive the service.
   LocationService(const Locator& locator,
                   LocationServiceConfig config = {});
@@ -88,12 +99,15 @@ class LocationService {
   explicit LocationService(LocationServiceConfig config);
 
   /// Feeds one scan; returns the updated fix. Hostile input degrades
-  /// instead of corrupting state: non-finite RSSI samples are dropped
-  /// before they reach the window (counted in rejected_samples()), and
-  /// a window the locator cannot answer coasts on the Kalman track
-  /// with `fix.degraded_reason` set. Once the window is full, keeping
-  /// it allocates nothing: ring entries are reused and a compiled
-  /// locator's query is merged in per-thread scratch.
+  /// instead of corrupting state: non-finite RSSI samples and over-cap
+  /// scans are dropped before they reach the window (counted in
+  /// rejected_samples()), and a window the locator cannot answer
+  /// coasts on the Kalman track with `fix.degraded_reason` set. Once
+  /// the window is full, keeping it allocates nothing while scan sizes
+  /// hold steady: ring entries are reused and a compiled locator's
+  /// query is merged in per-thread scratch. A buffer holding over four
+  /// times what it needs gives the memory back, so one large scan does
+  /// not pin its size after it leaves the window.
   ServiceFix on_scan(const radio::ScanRecord& scan);
 
   /// on_scan against an explicitly supplied locator — the snapshot
@@ -108,7 +122,7 @@ class LocationService {
   /// Stateless with respect to the scan window / Kalman track.
   Result<LocationEstimate> try_locate(const Observation& obs) const;
 
-  /// Non-finite samples dropped by on_scan() so far.
+  /// Non-finite and over-cap samples dropped by on_scan() so far.
   std::size_t rejected_samples() const { return rejected_samples_; }
 
   /// Scans fed through on_scan() over the service's lifetime (survives
@@ -146,7 +160,7 @@ class LocationService {
 
  private:
   /// One scan of the window: its finite samples, stored flat so a ring
-  /// entry reused for a later scan keeps its capacity.
+  /// entry reused for a later scan of similar size keeps its capacity.
   struct WindowScan {
     /// The samples' BSSIDs back to back; sample k's ends at
     /// bssid_ends[k].
@@ -171,7 +185,7 @@ class LocationService {
 
   const Locator& bound_locator() const;
   /// Copies the scan's finite samples into the ring, over the oldest
-  /// entry once the window is full.
+  /// entry once the window is full; an over-cap scan copies none.
   void push_scan(const radio::ScanRecord& scan);
   /// Scores the current window: merged in slot space for a compiled
   /// locator, as an Observation otherwise. `run_for` is the id run_

@@ -192,53 +192,4 @@ LocationEstimate PlaceRecognitionLocator::locate_compiled(
   return est;
 }
 
-double PlaceRecognitionLocator::reference_score(const Observation& obs,
-                                                std::size_t p,
-                                                int* common_aps) const {
-  const traindb::TrainingDatabase& db = compiled_->database();
-  const auto& universe = db.bssid_universe();
-  const traindb::TrainingPoint& tp = db.points()[p];
-  auto clamp_theta = [&](double th) {
-    return std::clamp(th, config_.theta_clamp, 1.0 - config_.theta_clamp);
-  };
-
-  double scans = 1.0;
-  for (const traindb::ApStatistics& ap : tp.per_ap) {
-    scans = std::max(scans, static_cast<double>(ap.scan_count));
-  }
-  const double alpha = config_.alpha;
-  const double prior = clamp_theta(alpha / (scans + 2.0 * alpha));
-
-  // Universe, trained list, and observation are all BSSID-sorted: one
-  // three-way merge decides each slot's theta and detection bit.
-  const auto& trained = tp.per_ap;
-  const auto& observed = obs.aps();
-  std::size_t t = 0, o = 0;
-  double score = 0.0;
-  int common = 0;
-  for (const std::string& bssid : universe) {
-    double th = prior;
-    if (t < trained.size() && trained[t].bssid == bssid) {
-      const double s = trained[t].scan_count > 0
-                           ? static_cast<double>(trained[t].scan_count)
-                           : scans;
-      th = clamp_theta(
-          (static_cast<double>(trained[t].sample_count) + alpha) /
-          (s + 2.0 * alpha));
-      ++t;
-    }
-    while (o < observed.size() && observed[o].bssid < bssid) ++o;
-    const bool detected = o < observed.size() && observed[o].bssid == bssid;
-    if (detected) {
-      ++o;
-      ++common;
-    }
-    const double w =
-        evidence_[static_cast<std::size_t>(&bssid - universe.data())].weight;
-    score += detected ? w * std::log(th) : w * std::log(1.0 - th);
-  }
-  if (common_aps) *common_aps = common;
-  return score;
-}
-
 }  // namespace loctk::core

@@ -35,12 +35,12 @@
 /// per-device RSSI offsets — exactly the campus fleet regime — at the
 /// cost of coarser discrimination between nearby places on one floor.
 ///
-/// Dual implementation, same contract as the other fingerprint
-/// locators: `locate()` runs a dense base-plus-delta gather over
-/// compiled tables (O(observed slots) per place), and
-/// `reference_score()` keeps the readable string-keyed form — a
-/// three-way sorted merge over universe, trained list, and
-/// observation — pinned against it by the differential oracle.
+/// `locate()` runs a dense base-plus-delta gather over compiled tables
+/// (O(observed slots) per place). The differential oracle pins it
+/// against a readable string-keyed score — a three-way sorted merge
+/// over universe, trained list, and observation that reads only the
+/// per-slot `evidence()` weights — which lives in
+/// testkit/locator_reference.hpp.
 
 #include <memory>
 #include <string>
@@ -91,16 +91,6 @@ class PlaceRecognitionLocator : public CompiledLocator {
       PlaceRecognitionConfig config = {});
 
   std::string name() const override { return "place-recognition"; }
-
-  /// String-keyed reference score of `obs` at training point `p`:
-  /// one pass over the sorted BSSID universe, recomputing every theta
-  /// from the point's `ApStatistics` and deciding observed/unobserved
-  /// by merging against the observation — no compiled tables touched
-  /// (the shared model parameters are only the per-slot weights).
-  /// `common_aps`, when given, receives the number of observed APs
-  /// inside the universe.
-  double reference_score(const Observation& obs, std::size_t p,
-                         int* common_aps = nullptr) const;
 
   /// Per-slot co-occurrence evidence (aligned with the universe).
   const SlotEvidence& evidence(std::size_t slot) const {

@@ -168,50 +168,6 @@ double ProbabilisticLocator::pooled_sigma_db(const std::string& bssid) const {
   return pooled_sigma_[*slot];
 }
 
-double ProbabilisticLocator::log_likelihood(
-    const Observation& obs, const traindb::TrainingPoint& point,
-    int* common_aps, int* penalized_aps) const {
-  double total = 0.0;
-  int common = 0;
-  int penalized = 0;
-
-  // Both sides are sorted by BSSID: a single merge visits every AP
-  // present on either side exactly once.
-  const auto& trained = point.per_ap;
-  const auto& observed = obs.aps();
-  std::size_t t = 0, o = 0;
-  while (t < trained.size() || o < observed.size()) {
-    int cmp;
-    if (t == trained.size()) {
-      cmp = 1;
-    } else if (o == observed.size()) {
-      cmp = -1;
-    } else {
-      cmp = trained[t].bssid.compare(observed[o].bssid);
-      cmp = cmp < 0 ? -1 : (cmp > 0 ? 1 : 0);
-    }
-    if (cmp == 0) {
-      stats::Gaussian g = trained[t].gaussian(config_.sigma_floor_db);
-      if (config_.use_pooled_sigma) {
-        g.sigma = pooled_sigma_db(trained[t].bssid);
-      }
-      total += g.log_pdf(observed[o].mean_dbm);
-      ++common;
-      ++t;
-      ++o;
-    } else {
-      // Trained-but-unheard or heard-but-untrained: either way the
-      // AP's visibility disagrees.
-      total += config_.missing_ap_log_penalty;
-      ++penalized;
-      cmp < 0 ? ++t : ++o;
-    }
-  }
-  if (common_aps) *common_aps = common;
-  if (penalized_aps) *penalized_aps = penalized;
-  return total;
-}
-
 ScoredPoint ProbabilisticLocator::finish_row(
     std::size_t point, double gauss, int common,
     const CompiledObservation& q) const {

@@ -19,10 +19,9 @@
 /// over `CompiledDatabase` matrices; `locate` runs an exact sparse
 /// sweep over the cells the observation heard, bit-identical to the
 /// dense arg-max (docs/ALGORITHMS.md, "Sparse exact sweep"), and
-/// `prune_top_k` no longer affects it. The per-point `log_likelihood`
-/// keeps the string-keyed form as the readable reference
-/// implementation (the equivalence is pinned by
-/// tests/core_compiled_db_test.cpp).
+/// `prune_top_k` no longer affects it. The string-keyed reference
+/// likelihood the differential oracle checks them against lives in
+/// testkit/locator_reference.hpp.
 
 #include <cstdint>
 #include <memory>
@@ -118,16 +117,6 @@ class ProbabilisticLocator : public CompiledLocator {
   std::vector<std::vector<ScoredPoint>> score_batch(
       std::span<const Observation> obs,
       concurrency::ThreadPool* pool = nullptr) const;
-
-  /// Log-likelihood of one observation at one training point —
-  /// the string-keyed reference implementation (a sorted two-pointer
-  /// merge over the observation and the point's per-AP list).
-  /// `penalized_aps`, when given, receives the number of missing-AP
-  /// penalty terms applied.
-  double log_likelihood(const Observation& obs,
-                        const traindb::TrainingPoint& point,
-                        int* common_aps = nullptr,
-                        int* penalized_aps = nullptr) const;
 
   const ProbabilisticConfig& config() const { return config_; }
 

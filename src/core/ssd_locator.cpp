@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <vector>
 
 #include "core/score_kernels.hpp"
@@ -22,36 +21,6 @@ SsdLocator::SsdLocator(std::shared_ptr<const CompiledDatabase> compiled,
 
 std::string SsdLocator::name() const {
   return "ssd-knn-" + std::to_string(config_.k);
-}
-
-double SsdLocator::ssd_distance(
-    const Observation& obs, const traindb::TrainingPoint& point) const {
-  // Collect readings for APs present on both sides.
-  std::vector<double> o, t;
-  for (const traindb::ApStatistics& s : point.per_ap) {
-    if (const auto observed = obs.mean_of(s.bssid)) {
-      o.push_back(*observed);
-      t.push_back(s.mean_dbm);
-    }
-  }
-  if (static_cast<int>(o.size()) < config_.min_common_aps) {
-    return std::numeric_limits<double>::infinity();
-  }
-  // Remove each side's mean over the common subset: any constant
-  // device offset on the observation cancels exactly.
-  double mo = 0.0, mt = 0.0;
-  for (std::size_t i = 0; i < o.size(); ++i) {
-    mo += o[i];
-    mt += t[i];
-  }
-  mo /= static_cast<double>(o.size());
-  mt /= static_cast<double>(t.size());
-  double sum2 = 0.0;
-  for (std::size_t i = 0; i < o.size(); ++i) {
-    const double d = (o[i] - mo) - (t[i] - mt);
-    sum2 += d * d;
-  }
-  return std::sqrt(sum2);
 }
 
 LocationEstimate SsdLocator::locate_compiled(

@@ -32,7 +32,10 @@ struct SsdConfig {
 
 /// k-NN over mean-centered (offset-invariant) signatures. Distances
 /// are computed over the APs present on *both* sides, with each
-/// side's mean over that common subset removed.
+/// side's mean over that common subset removed. locate() runs the
+/// arithmetic as a masked dense kernel over the compiled matrices; the
+/// string-keyed reference distance the differential oracle checks it
+/// against lives in testkit/locator_reference.hpp.
 class SsdLocator : public CompiledLocator {
  public:
   /// `db` must outlive the locator.
@@ -44,13 +47,6 @@ class SsdLocator : public CompiledLocator {
                       SsdConfig config = {});
 
   std::string name() const override;
-
-  /// Offset-invariant distance between the observation and a training
-  /// point; +infinity when they share fewer than min_common_aps APs.
-  /// Reference implementation; locate() runs the same arithmetic as a
-  /// masked dense kernel over the compiled matrices.
-  double ssd_distance(const Observation& obs,
-                      const traindb::TrainingPoint& point) const;
 
   const SsdConfig& config() const { return config_; }
 

@@ -15,6 +15,7 @@
 #include "core/place_recognition.hpp"
 #include "core/probabilistic.hpp"
 #include "core/ssd_locator.hpp"
+#include "testkit/locator_reference.hpp"
 
 namespace loctk::testkit {
 
@@ -163,88 +164,6 @@ std::string DifferentialReport::to_text() const {
   return out;
 }
 
-std::string PrunedDifferentialReport::to_text() const {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "pruned differential: %llu observations, %llu compared, "
-                "%llu top-1 agreements, %zu disagreements\n",
-                static_cast<unsigned long long>(observations),
-                static_cast<unsigned long long>(compared),
-                static_cast<unsigned long long>(top1_agreements),
-                disagreements.size());
-  std::string out = buf;
-  for (const EstimateDiff& d : disagreements) {
-    out += "  [" + d.locator + " #" + std::to_string(d.observation) + "] " +
-           d.detail + "\n";
-  }
-  return out;
-}
-
-namespace {
-
-/// Diffs one pruned estimate against its exact twin. Candidates are
-/// scored with the exact kernel, so agreement means identical
-/// validity, winner, and score — no tolerance needed.
-std::optional<std::string> diff_pruned(const core::LocationEstimate& pruned,
-                                       const core::LocationEstimate& exact) {
-  if (pruned.valid != exact.valid) {
-    return std::string("validity: pruned ") +
-           (pruned.valid ? "valid" : "invalid") + " vs exact " +
-           (exact.valid ? "valid" : "invalid");
-  }
-  if (!pruned.valid) return std::nullopt;
-  if (pruned.location_name != exact.location_name ||
-      !(pruned.position == exact.position)) {
-    return "top-1: pruned '" + pruned.location_name + "' vs exact '" +
-           exact.location_name + "'";
-  }
-  if (pruned.score != exact.score) {
-    return describe("top-1 score", pruned.score, exact.score);
-  }
-  return std::nullopt;
-}
-
-}  // namespace
-
-PrunedDifferentialReport run_pruned_differential(
-    const traindb::TrainingDatabase& db,
-    std::span<const core::Observation> observations,
-    const core::ProbabilisticConfig& prune_config) {
-  PrunedDifferentialReport report;
-  report.observations = observations.size();
-
-  const auto compiled = core::CompiledDatabase::compile(db);
-  core::ProbabilisticConfig exact_config = prune_config;
-  exact_config.prune_top_k = 0;
-  const core::ProbabilisticLocator prob_pruned(compiled, prune_config);
-  const core::ProbabilisticLocator prob_exact(compiled, exact_config);
-  const core::KnnConfig knn_pruned_cfg{
-      .k = 3, .prune_top_k = prune_config.prune_top_k,
-      .prune_strongest_aps = prune_config.prune_strongest_aps};
-  const core::KnnLocator knn_pruned(compiled, knn_pruned_cfg);
-  const core::KnnLocator knn_exact(compiled, {.k = 3});
-
-  auto compare = [&report](const std::string& locator, std::size_t i,
-                           const core::LocationEstimate& pruned,
-                           const core::LocationEstimate& exact) {
-    ++report.compared;
-    if (auto diff = diff_pruned(pruned, exact)) {
-      report.disagreements.push_back({locator, i, std::move(*diff)});
-    } else {
-      ++report.top1_agreements;
-    }
-  };
-
-  for (std::size_t i = 0; i < observations.size(); ++i) {
-    const core::Observation& obs = observations[i];
-    compare("probabilistic-ml/pruned", i, prob_pruned.locate(obs),
-            prob_exact.locate(obs));
-    compare("knn-3/pruned", i, knn_pruned.locate(obs),
-            knn_exact.locate(obs));
-  }
-  return report;
-}
-
 DifferentialReport run_differential_oracle(
     const traindb::TrainingDatabase& db,
     const std::vector<core::Observation>& observations,
@@ -276,7 +195,7 @@ DifferentialReport run_differential_oracle(
          check_argmax(db, prob, obs, config, [&](std::size_t p) {
            int common = 0;
            const double ll =
-               prob.log_likelihood(obs, db.points()[p], &common);
+               reference_log_likelihood(prob, obs, db.points()[p], &common);
            return common < prob.config().min_common_aps
                       ? -std::numeric_limits<double>::infinity()
                       : ll;
@@ -285,7 +204,7 @@ DifferentialReport run_differential_oracle(
     note(place.name(), i,
          check_argmax(db, place, obs, config, [&](std::size_t p) {
            int common = 0;
-           const double score = place.reference_score(obs, p, &common);
+           const double score = reference_place_score(place, obs, p, &common);
            return common < place.config().min_common_aps
                       ? -std::numeric_limits<double>::infinity()
                       : score;
@@ -294,7 +213,7 @@ DifferentialReport run_differential_oracle(
     if (hist) {
       note(hist->name(), i,
            check_argmax(db, *hist, obs, config, [&](std::size_t p) {
-             return hist->log_likelihood(obs, p);
+             return reference_histogram_log_likelihood(db, {}, obs, p);
            }));
     }
 
@@ -303,21 +222,24 @@ DifferentialReport run_differential_oracle(
                           nnss.config().inverse_distance_weighting,
                           nnss.config().weighting_epsilon,
                           [&](const traindb::TrainingPoint& point) {
-                            return nnss.signal_distance(obs, point);
+                            return reference_signal_distance(
+                                db, nnss.config(), obs, point);
                           }));
     note(knn3.name(), i,
          check_knn_family(db, knn3, obs, config, knn3.config().k,
                           knn3.config().inverse_distance_weighting,
                           knn3.config().weighting_epsilon,
                           [&](const traindb::TrainingPoint& point) {
-                            return knn3.signal_distance(obs, point);
+                            return reference_signal_distance(
+                                db, knn3.config(), obs, point);
                           }));
     note(ssd.name(), i,
          check_knn_family(db, ssd, obs, config, ssd.config().k,
                           ssd.config().inverse_distance_weighting,
                           ssd.config().weighting_epsilon,
                           [&](const traindb::TrainingPoint& point) {
-                            return ssd.ssd_distance(obs, point);
+                            return reference_ssd_distance(ssd.config(), obs,
+                                                          point);
                           }));
   }
   return report;

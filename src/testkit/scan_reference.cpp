@@ -19,8 +19,15 @@ core::ServiceFix ReferenceScanSession::on_scan(const core::Locator& locator,
                                                const radio::ScanRecord& scan) {
   ++scans_;
   radio::ScanRecord clean = scan;
-  std::erase_if(clean.samples, [this](const radio::ScanSample& s) {
-    const bool bad = !std::isfinite(s.rssi_dbm);
+  const bool over_cap =
+      clean.samples.size() > core::LocationService::kMaxScanSamples ||
+      std::any_of(clean.samples.begin(), clean.samples.end(),
+                  [](const radio::ScanSample& s) {
+                    return s.bssid.size() >
+                           core::LocationService::kMaxBssidBytes;
+                  });
+  std::erase_if(clean.samples, [&](const radio::ScanSample& s) {
+    const bool bad = over_cap || !std::isfinite(s.rssi_dbm);
     if (bad) ++rejected_samples_;
     return bad;
   });

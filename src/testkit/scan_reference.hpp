@@ -7,7 +7,8 @@
 /// (docs/ALGORITHMS.md, "Scan path in slot space"). This is the path
 /// that fold must reproduce, kept as readable executable
 /// documentation: a window of raw `ScanRecord`s with non-finite
-/// samples dropped at the door, `Observation::from_scans` over the
+/// samples, and every sample of a scan over LocationService's caps,
+/// dropped at the door, `Observation::from_scans` over the
 /// whole window, `Locator::try_locate(Observation)`, then the same
 /// Kalman and place-debounce logic. The hostile-scan differential
 /// races the two fix for fix and compares every `ServiceFix` field bit
@@ -32,7 +33,7 @@ class ReferenceScanSession {
   core::ServiceFix on_scan(const core::Locator& locator,
                            const radio::ScanRecord& scan);
 
-  /// Non-finite samples dropped so far (LocationService's
+  /// Non-finite and over-cap samples dropped so far (LocationService's
   /// rejected_samples() and its `service.rejected_samples` delta).
   std::size_t rejected_samples() const { return rejected_samples_; }
   /// Scans fed (the `service.scans` delta).

@@ -15,7 +15,10 @@
 /// The old parser accepted two kinds of row the shipped one rejects: a
 /// non-finite `time=` and a `channel=` outside `int`, whose conversion
 /// was undefined. The reference stops at the first such row and reports
-/// its line instead of converting it.
+/// its line instead of converting it. It also strips only one trailing
+/// CR from a comment line, so `# location: den \r\r` gives it the label
+/// "den \r" where the shipped parser reads "den"; the differential
+/// allows exactly that label difference.
 
 #include <cstddef>
 #include <optional>

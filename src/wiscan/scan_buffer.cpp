@@ -445,8 +445,10 @@ WiScanFile parse_wiscan_buffer(std::string_view text,
       p = nl == nullptr ? end : line_end + 1;
       if (blank) continue;
       std::string_view line(q, static_cast<std::size_t>(line_end - q));
-      // Files written on Windows (the paper's toolkit environment).
-      if (line.ends_with('\r')) line.remove_suffix(1);
+      // Files written on Windows (the paper's toolkit environment); a
+      // file converted twice ends its lines in CR CR LF, and a CR left
+      // in a label would match no location-map name.
+      while (line.ends_with('\r')) line.remove_suffix(1);
       // Comments may carry the location header...
       static constexpr std::string_view kLocTag = "location:";
       const auto tag = line.find(kLocTag);

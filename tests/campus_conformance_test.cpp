@@ -5,15 +5,13 @@
 // the 50x40 ft house. This suite pins the same machinery at campus
 // cardinality — a generated 2-building x 3-floor campus with 1000+
 // APs, surveyed room-by-room and driven by a heterogeneous-device
-// fleet — so the compiled kernels, the interner, the pruner, and the
-// floor selector cannot quietly shed correctness at the scale they
-// exist for:
+// fleet — so the compiled kernels, the interner, and the floor
+// selector cannot quietly shed correctness at the scale they exist
+// for:
 //
 //  * the differential oracle (probabilistic, place recognition, NNSS,
 //    k-NN, SSD) must show zero compiled-vs-reference mismatches over
 //    fleet observations on the merged campus database;
-//  * the coarse-to-fine pruned path must agree top-1 with the exact
-//    sweep on the same observations;
 //  * floor selection over the per-floor databases must reach >= 95%
 //    accuracy probing surveyed rooms, with per-floor in-floor error
 //    bands holding on every one of the six floors.
@@ -85,23 +83,6 @@ TEST(CampusConformance, DifferentialOracleZeroMismatches) {
       run_differential_oracle(campus_scenario().database(), observations);
   EXPECT_EQ(report.comparisons, observations.size() * 5);
   EXPECT_TRUE(report.ok()) << report.to_text();
-}
-
-TEST(CampusConformance, PrunedPathZeroTop1DisagreementsAtScale) {
-  // 240 training points is where pruning genuinely prunes; top-1
-  // parity with the exact sweep must survive the jump in cardinality
-  // (and the fleet's per-device RSSI offsets, which shift the coarse
-  // scores but must not evict the true winner).
-  const auto& observations = fleet_observations();
-  ASSERT_FALSE(observations.empty());
-  core::ProbabilisticConfig prune_config;
-  prune_config.prune_top_k = 32;
-  prune_config.prune_strongest_aps = 4;
-  const PrunedDifferentialReport report = run_pruned_differential(
-      campus_scenario().database(), observations, prune_config);
-  EXPECT_EQ(report.compared, observations.size() * 2);
-  EXPECT_TRUE(report.ok()) << report.to_text();
-  EXPECT_EQ(report.agreement_rate(), 1.0);
 }
 
 TEST(CampusConformance, FloorSelectionAccuracyAndPerFloorErrorBands) {

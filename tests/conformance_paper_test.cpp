@@ -133,27 +133,5 @@ TEST(ConformanceDifferential, ZeroMismatchesAcrossAllLocators) {
   EXPECT_TRUE(report.ok()) << report.to_text();
 }
 
-TEST(ConformanceDifferential, PrunedPathZeroTop1Disagreements) {
-  // The coarse-to-fine pruner scores candidates with the exact
-  // kernel, so any top-1 disagreement means the true winner was
-  // pruned out of the candidate set — conformance demands none on a
-  // fleet-scale trace. k-NN is the stricter twin: its position is a
-  // weighted average over all k neighbors, so the candidate set must
-  // recall every one of the true top-3, not just the winner.
-  const Scenario scenario(ScenarioSpec::fleet(8, 30, /*seed=*/92,
-                                              SiteModel::kOfficeFloor));
-  const auto observations =
-      observations_from_trace(scenario.record_trace(), 8);
-  ASSERT_FALSE(observations.empty());
-  core::ProbabilisticConfig prune_config;
-  prune_config.prune_top_k = 24;
-  prune_config.prune_strongest_aps = 4;
-  const PrunedDifferentialReport report = run_pruned_differential(
-      scenario.database(), observations, prune_config);
-  EXPECT_EQ(report.compared, observations.size() * 2);
-  EXPECT_TRUE(report.ok()) << report.to_text();
-  EXPECT_EQ(report.agreement_rate(), 1.0);
-}
-
 }  // namespace
 }  // namespace loctk::testkit

@@ -1,7 +1,7 @@
 // Equivalence tests for the compiled scoring engine: the dense
 // kernels behind score_all()/locate() must reproduce the string-keyed
-// reference implementations (log_likelihood, signal_distance,
-// ssd_distance) bit-for-bit up to FP reassociation (|Δ| < 1e-9),
+// string-keyed reference scorers (testkit/locator_reference.hpp)
+// bit-for-bit up to FP reassociation (|Δ| < 1e-9),
 // across randomized databases and observations with varying AP
 // overlap, rogue APs, and the min_common_aps cutoff path.
 
@@ -28,6 +28,7 @@
 #include "core/ssd_locator.hpp"
 #include "stats/rng.hpp"
 #include "test_fixtures.hpp"
+#include "testkit/locator_reference.hpp"
 
 namespace loctk::core {
 namespace {
@@ -357,8 +358,8 @@ TEST(CompiledEquivalence, ProbabilisticScoreAllMatchesReference) {
       ASSERT_EQ(scores.size(), db.size());
       for (std::size_t p = 0; p < db.size(); ++p) {
         int common = 0;
-        const double ref =
-            locator.log_likelihood(obs, db.points()[p], &common);
+        const double ref = testkit::reference_log_likelihood(
+            locator, obs, db.points()[p], &common);
         EXPECT_EQ(scores[p].common_aps, common);
         if (common < cfg.min_common_aps) {
           EXPECT_EQ(scores[p].log_likelihood,
@@ -373,8 +374,8 @@ TEST(CompiledEquivalence, ProbabilisticScoreAllMatchesReference) {
       double best_ref = -std::numeric_limits<double>::infinity();
       for (std::size_t p = 0; p < db.size(); ++p) {
         int common = 0;
-        const double ref =
-            locator.log_likelihood(obs, db.points()[p], &common);
+        const double ref = testkit::reference_log_likelihood(
+            locator, obs, db.points()[p], &common);
         if (common >= cfg.min_common_aps) best_ref = std::max(best_ref, ref);
       }
       if (!est.valid) {
@@ -398,14 +399,17 @@ TEST(CompiledEquivalence, KnnLocateMatchesReferenceDistances) {
     const Observation obs = random_obs(rng, universe_n);
     if (obs.empty()) continue;
 
-    // Reference: brute-force neighbor list through signal_distance.
+    // Reference: brute-force neighbor list through the string-keyed
+    // distance.
     struct Neighbor {
       const traindb::TrainingPoint* point;
       double distance;
     };
     std::vector<Neighbor> ref;
     for (const traindb::TrainingPoint& p : db.points()) {
-      ref.push_back({&p, locator.signal_distance(obs, p)});
+      ref.push_back(
+          {&p, testkit::reference_signal_distance(db, locator.config(), obs,
+                                                  p)});
     }
     std::stable_sort(ref.begin(), ref.end(),
                      [](const Neighbor& a, const Neighbor& b) {
@@ -443,7 +447,8 @@ TEST(CompiledEquivalence, SsdLocateMatchesReferenceIncludingCutoff) {
 
     std::vector<double> ref;
     for (const traindb::TrainingPoint& p : db.points()) {
-      ref.push_back(locator.ssd_distance(obs, p));
+      ref.push_back(
+          testkit::reference_ssd_distance(locator.config(), obs, p));
     }
     const double best_ref = *std::min_element(ref.begin(), ref.end());
     const LocationEstimate est = locator.locate(obs);
@@ -472,7 +477,8 @@ TEST(CompiledEquivalence, HistogramLocateMatchesReference) {
     double best_ref = -std::numeric_limits<double>::infinity();
     std::size_t best_idx = 0;
     for (std::size_t p = 0; p < db.size(); ++p) {
-      const double ll = locator.log_likelihood(obs, p);
+      const double ll =
+          testkit::reference_histogram_log_likelihood(db, {}, obs, p);
       if (ll > best_ref) {
         best_ref = ll;
         best_idx = p;
@@ -512,8 +518,8 @@ TEST(CompiledEquivalence, LogLikelihoodPenaltyCountPinned) {
 
   const ProbabilisticLocator locator(db);
   int common = 0, penalized = 0;
-  const double ll =
-      locator.log_likelihood(obs, db.points()[0], &common, &penalized);
+  const double ll = testkit::reference_log_likelihood(
+      locator, obs, db.points()[0], &common, &penalized);
   EXPECT_EQ(common, 2);
   EXPECT_EQ(penalized, 3);
 
@@ -521,8 +527,8 @@ TEST(CompiledEquivalence, LogLikelihoodPenaltyCountPinned) {
   std::vector<radio::ScanRecord> disjoint(1);
   disjoint[0].samples.push_back({"zz:1", -50.0, 1});
   const Observation dobs = Observation::from_scans(disjoint);
-  const double dll =
-      locator.log_likelihood(dobs, db.points()[0], &common, &penalized);
+  const double dll = testkit::reference_log_likelihood(
+      locator, dobs, db.points()[0], &common, &penalized);
   EXPECT_EQ(common, 0);
   EXPECT_EQ(penalized, 4);
   EXPECT_NEAR(dll, 4 * locator.config().missing_ap_log_penalty, kTol);

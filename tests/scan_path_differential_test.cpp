@@ -5,7 +5,8 @@
 // These tests race it — bare, and inside LocationServer sessions across
 // mid-window snapshot swaps — against the Observation-path reference
 // (testkit/scan_reference.hpp) over seeded streams of hostile scans:
-// duplicate BSSIDs, empty and 1000-sample scans, NaN/±inf RSSI, finite
+// duplicate BSSIDs, empty and 1000-sample scans, scans at and just
+// over the door's sample and BSSID-length caps, NaN/±inf RSSI, finite
 // readings near ±1e308 whose window sums overflow, NaN and rewound
 // timestamps, never-seen BSSIDs, and swaps to a delta_compile result
 // that both grows and shrinks the universe. Every ServiceFix field must
@@ -51,6 +52,8 @@ namespace loctk {
 namespace {
 
 constexpr std::uint64_t kStreams = 1000;
+constexpr std::size_t kMaxSamples = core::LocationService::kMaxScanSamples;
+constexpr std::size_t kMaxBssid = core::LocationService::kMaxBssidBytes;
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
@@ -262,6 +265,26 @@ Stream hostile_stream(std::uint64_t seed) {
       for (int k = 0; k < 1000; ++k) {
         rec.samples.push_back({some_bssid(rng), rng.uniform(-95.0, -30.0), 1});
       }
+    } else if (shape < 13) {
+      // At or just over the door's caps: a scan of kMaxScanSamples
+      // samples or one more, or a regular scan plus a BSSID of
+      // kMaxBssidBytes bytes or one more. Over the cap, the whole scan
+      // enters the window empty.
+      const std::size_t over = rng.bernoulli(0.5) ? 1 : 0;
+      if (rng.bernoulli(0.5)) {
+        for (std::size_t k = 0; k < kMaxSamples + over; ++k) {
+          rec.samples.push_back(
+              {some_bssid(rng), rng.uniform(-95.0, -30.0), 1});
+        }
+      } else {
+        for (int a = 0; a < kRegularAps; ++a) {
+          rec.samples.push_back(
+              {regular_ap(a), mean_at(ap_position(a), pos), 1});
+        }
+        rec.samples.push_back(
+            {std::string(kMaxBssid + over, 'x'), rng.uniform(-90.0, -40.0),
+             1});
+      }
     } else {
       for (int a = 0; a < kRegularAps; ++a) {
         if (rng.bernoulli(0.75)) {
@@ -331,6 +354,7 @@ struct Tally {
   /// that stops reaching one fails loudly instead of passing vacuously.
   std::uint64_t overflow_fixes = 0;
   std::uint64_t degraded_reasons = 0;
+  std::uint64_t over_cap_scans = 0;
   std::uint64_t mismatch_count = 0;
   /// The first few mismatches, for the failure message.
   std::vector<std::string> mismatches;
@@ -339,6 +363,15 @@ struct Tally {
     if (diff.empty()) return;
     ++mismatch_count;
     if (mismatches.size() < 8) mismatches.push_back(where + ":" + diff);
+  }
+  void count(const radio::ScanRecord& scan) {
+    const bool over_cap =
+        scan.samples.size() > kMaxSamples ||
+        std::any_of(scan.samples.begin(), scan.samples.end(),
+                    [](const radio::ScanSample& s) {
+                      return s.bssid.size() > kMaxBssid;
+                    });
+    if (over_cap) ++over_cap_scans;
   }
   void count(const core::ServiceFix& fix) {
     if (fix.degraded_reason.find("non-finite") != std::string::npos) {
@@ -422,6 +455,7 @@ void race_services(const Snapshots& snaps,
                        " scan " + std::to_string(i),
                    fix_diff(want, got));
         tally.count(got);
+        tally.count(stream.scans[i]);
       }
       if (service.rejected_samples() != ref.rejected_samples()) {
         tally.note(shape + kind.name + " seed " + std::to_string(seed),
@@ -458,6 +492,7 @@ TEST(HostileScanDifferential, ServiceMatchesReference) {
   EXPECT_GT(tally.rejected, 0u);
   EXPECT_GT(tally.overflow_fixes, 0u);
   EXPECT_GT(tally.degraded_reasons, 0u);
+  EXPECT_GT(tally.over_cap_scans, 0u);
 }
 
 // The window shape is one more input: rings of one scan (every scan

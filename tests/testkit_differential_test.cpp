@@ -80,26 +80,6 @@ TEST(DifferentialOracle, DetectsAPlantedDisagreement) {
   }
 }
 
-TEST(DifferentialOracle, PrunedPathAgreesWithExactOnRecordedTrace) {
-  // Office floor: ~100 training points, so top_k = 24 genuinely
-  // prunes instead of degenerating to the full pass.
-  const Scenario scenario(ScenarioSpec::fleet(4, 24, /*seed=*/31,
-                                              SiteModel::kOfficeFloor));
-  const auto observations =
-      observations_from_trace(scenario.record_trace(), 8);
-  ASSERT_FALSE(observations.empty());
-  core::ProbabilisticConfig prune_config;
-  prune_config.prune_top_k = 24;
-  prune_config.prune_strongest_aps = 4;
-  const PrunedDifferentialReport report = run_pruned_differential(
-      scenario.database(), observations, prune_config);
-  EXPECT_EQ(report.observations, observations.size());
-  // 2 locator pairs (probabilistic, knn-3), pruned vs exact.
-  EXPECT_EQ(report.compared, observations.size() * 2);
-  EXPECT_TRUE(report.ok()) << report.to_text();
-  EXPECT_EQ(report.agreement_rate(), 1.0);
-}
-
 TEST(DifferentialOracle, ReportFormatsMismatches) {
   DifferentialReport report;
   report.observations = 3;

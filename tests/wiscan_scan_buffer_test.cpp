@@ -291,6 +291,16 @@ TEST(WiScanBuffer, CrlfAndNoTrailingNewlineParse) {
   EXPECT_EQ(f.entry(1).rssi_dbm, -60.0);
 }
 
+TEST(WiScanBuffer, LocationLabelDropsEveryTrailingCr) {
+  // A file converted to CRLF twice: the label must still be "den", or
+  // it matches no location-map name and the generator drops the file.
+  const WiScanFile f =
+      parse_wiscan_buffer("# location: den \r\r\nbssid=aa rssi=-50\r\r\n");
+  EXPECT_EQ(f.location, "den");
+  ASSERT_EQ(f.size(), 1u);
+  EXPECT_EQ(f.entry(0).bssid, "aa");
+}
+
 TEST(WiScanBuffer, MatchesIstreamAdapter) {
   const std::string text =
       "# wi-scan v1\n# location: kitchen\n"
