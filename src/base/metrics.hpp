@@ -18,7 +18,10 @@
 ///                   (latencies, sizes); bin geometry and snapshot
 ///                   materialization reuse `stats::Histogram`;
 ///  * `ScopedTimer` / `TraceSpan` — RAII monotonic-clock timing into a
-///                   histogram (plus a call counter for spans).
+///                   histogram (plus a call counter for spans);
+///  * `SampleCountdown` / `StageClock` — the per-scan hot path times
+///                   one call in `kSampleEvery` per thread, split into
+///                   stages, and reads no clock on the others.
 ///
 /// Instrumented code pays one relaxed atomic RMW per event on the hot
 /// path, on a cache line of its own thread's shard (counters and
@@ -34,7 +37,9 @@
 /// `examples/site_survey --stats`, and both perf benches emit them;
 /// docs/OBSERVABILITY.md specifies the naming scheme and formats.
 
+#include <array>
 #include <atomic>
+#include <cassert>
 #include <chrono>
 #include <cstdint>
 #include <iosfwd>
@@ -266,8 +271,13 @@ HistogramMetric& histogram(std::string_view name,
 class ScopedTimer {
  public:
   explicit ScopedTimer(HistogramMetric& hist, std::uint64_t weight = 1)
-      : hist_(&hist), weight_(weight),
-        start_(std::chrono::steady_clock::now()) {}
+      : ScopedTimer(&hist, weight) {}
+  /// A null `hist` (an unsampled call) reads no clock and records
+  /// nothing.
+  explicit ScopedTimer(HistogramMetric* hist, std::uint64_t weight = 1)
+      : hist_(hist), weight_(weight),
+        start_(hist ? std::chrono::steady_clock::now()
+                    : std::chrono::steady_clock::time_point{}) {}
   ~ScopedTimer() {
     if (hist_ && weight_ > 0) {
       const double per_op =
@@ -311,6 +321,69 @@ class TraceSpan {
 
  private:
   ScopedTimer timer_;
+};
+
+/// One call in this many, per thread and call site, is timed on the
+/// per-scan hot path; histograms fed that way count the sampled calls
+/// only, and their call counters stay exact.
+inline constexpr std::uint32_t kSampleEvery = 64;
+
+/// Picks the sampled calls of one call site on one thread: the
+/// thread's first call, then every kSampleEvery-th after it. An
+/// unsampled call pays one predictable branch and a decrement; keep
+/// one `thread_local` instance per call site.
+class SampleCountdown {
+ public:
+  bool tick() {
+    if (left_ != 0) [[likely]] {
+      --left_;
+      return false;
+    }
+    left_ = kSampleEvery - 1;
+    return true;
+  }
+
+ private:
+  std::uint32_t left_ = 0;
+};
+
+/// Boundary timestamps splitting one sampled call into consecutive
+/// stages: construction starts the first stage and end(s) closes stage
+/// `s`, which starts where the previous stage ended. A stage skipped
+/// between two end() calls (an early return) lasts zero, so the stages
+/// always partition the time from construction to the last end(), and
+/// their seconds sum to total_seconds(). `Stage` is an enum whose
+/// `kCount` is the number of stages; end() takes them in order.
+template <class Stage>
+class StageClock {
+ public:
+  static constexpr std::size_t kStages =
+      static_cast<std::size_t>(Stage::kCount);
+
+  StageClock() { bounds_[0] = Clock::now(); }
+
+  void end(Stage stage) {
+    const auto s = static_cast<std::size_t>(stage);
+    assert(s >= ended_ && s < kStages);
+    const Clock::time_point now = Clock::now();
+    for (; ended_ < s; ++ended_) bounds_[ended_ + 1] = bounds_[ended_];
+    bounds_[s + 1] = now;
+    ended_ = s + 1;
+  }
+
+  double seconds(Stage stage) const {
+    const auto s = static_cast<std::size_t>(stage);
+    return std::chrono::duration<double>(bounds_[s + 1] - bounds_[s]).count();
+  }
+  double total_seconds() const {
+    return std::chrono::duration<double>(bounds_[ended_] - bounds_[0])
+        .count();
+  }
+
+ private:
+  using Clock = std::chrono::steady_clock;
+  std::array<Clock::time_point, kStages + 1> bounds_;
+  std::size_t ended_ = 0;
 };
 
 }  // namespace loctk::metrics

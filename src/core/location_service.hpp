@@ -32,11 +32,33 @@
 #include <utility>
 #include <vector>
 
+#include "base/metrics.hpp"
 #include "core/locator.hpp"
 #include "core/tracking.hpp"
 #include "radio/scanner.hpp"
 
 namespace loctk::core {
+
+/// The stages of one served scan, in call order; they partition
+/// `serve::LocationServer::on_scan` (`serve.stage.<stage>.seconds`;
+/// docs/SERVING.md, "What on_scan times"). The server ends the pin,
+/// session (lookup and lock), Kalman and metrics stages;
+/// LocationService ends the door (`push_scan`), lookup (the newest
+/// scan's BSSID→slot lookups, plus the run's rebuild after a swap),
+/// merge (the rest of the fold) and locate stages. The Kalman stage
+/// also holds the place debounce and the fix copy.
+enum class ScanStage {
+  kPin,
+  kSession,
+  kDoor,
+  kLookup,
+  kMerge,
+  kLocate,
+  kKalman,
+  kMetrics,
+  kCount
+};
+using ScanStageClock = metrics::StageClock<ScanStage>;
 
 struct LocationServiceConfig {
   /// Scans kept in the sliding window (the working-phase dwell; the
@@ -113,8 +135,16 @@ class LocationService {
   /// on_scan against an explicitly supplied locator — the snapshot
   /// form: per-client state lives here, the immutable scoring state
   /// arrives per call. The bound on_scan(scan) is exactly
-  /// on_scan(bound locator, scan).
+  /// on_scan(bound locator, scan). One scan in metrics::kSampleEvery
+  /// per thread times its locate and sets the Kalman innovation gauge.
   ServiceFix on_scan(const Locator& locator, const radio::ScanRecord& scan);
+
+  /// on_scan as part of a served scan whose caller samples it:
+  /// `stages` is null on an unsampled scan, which then reads no clock,
+  /// times no locate and leaves the innovation gauge alone. On a
+  /// sampled one this ends the door, lookup, merge and locate stages.
+  ServiceFix on_scan(const Locator& locator, const radio::ScanRecord& scan,
+                     ScanStageClock* stages);
 
   /// One-shot taxonomy-speaking localization of an already-windowed
   /// observation through this service's locator; degenerate inputs
@@ -190,19 +220,28 @@ class LocationService {
   /// Scores the current window: merged in slot space for a compiled
   /// locator, as an Observation otherwise. `run_for` is the id run_
   /// was current for before the newest scan was pushed (0 when stale).
+  /// A non-null `stages` ends the lookup and merge stages and times
+  /// the locate.
   Result<LocationEstimate> locate_window(const Locator& locator,
-                                         std::uint64_t run_for);
+                                         std::uint64_t run_for,
+                                         ScanStageClock* stages);
   /// The window's per-AP means and readings on `db`'s universe, in
   /// per-thread scratch (valid until this thread's next fold). Merges
   /// only the newest scan into the run when `run_for` is `db`'s id,
   /// else rebuilds the run from the ring's raw samples.
   const CompiledObservation& fold_window(const CompiledDatabase& db,
-                                         std::uint64_t run_for);
-  /// Replaces ring entry `entry`'s readings in run_ and unknown_ with
-  /// its current samples lowered on `db`; with `q`, the same pass
-  /// emits the query's slots, sample runs and means.
-  void merge_entry(const CompiledDatabase& db, std::size_t entry,
-                   FoldScratch& f, CompiledObservation* q);
+                                         std::uint64_t run_for,
+                                         ScanStageClock* stages);
+  /// Lowers ring entry `entry`'s samples on `db`: the in-universe ones
+  /// into the scratch's sorted `fresh`, the others into unknown_ in
+  /// place of the entry's previous ones.
+  void lookup_entry(const CompiledDatabase& db, std::size_t entry,
+                    FoldScratch& f);
+  /// Replaces entry `entry`'s readings in run_ with the `fresh` ones
+  /// lookup_entry just found; with `q`, the same pass emits the
+  /// query's slots, sample runs and means.
+  void merge_entry(std::size_t entry, FoldScratch& f,
+                   CompiledObservation* q);
   /// The window as scan records, oldest first (non-compiled locators).
   std::vector<radio::ScanRecord> window_records() const;
   /// Ring index of the i-th oldest scan.

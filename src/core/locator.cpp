@@ -40,13 +40,20 @@ metrics::Counter& batch_observations() {
   return c;
 }
 
+/// Whether this thread's next one-argument try_locate is timed.
+bool sample_locate() {
+  thread_local metrics::SampleCountdown countdown;
+  return countdown.tick();
+}
+
 /// The shared body of both try_locate forms: the degenerate-input
 /// checks in their fixed order, then `score` under the error taxonomy.
+/// Only a `timed` call reads the clock.
 template <class Score>
 Result<LocationEstimate> checked_locate(const Locator& locator, bool empty,
-                                        bool finite, Score score) {
+                                        bool finite, bool timed, Score score) {
   locate_calls().increment();
-  metrics::ScopedTimer timer(locate_latency());
+  metrics::ScopedTimer timer(timed ? &locate_latency() : nullptr);
   if (empty) {
     locate_degenerate().increment();
     return Error(ErrorCode::kDegenerate, "empty observation")
@@ -82,13 +89,23 @@ Result<LocationEstimate> checked_locate(const Locator& locator, bool empty,
 }  // namespace
 
 Result<LocationEstimate> Locator::try_locate(const Observation& obs) const {
-  return checked_locate(*this, obs.empty(), obs.is_finite(),
-                        [&] { return locate(obs); });
+  return try_locate(obs, sample_locate());
 }
 
 Result<LocationEstimate> Locator::try_locate(
     const CompiledObservation& q) const {
-  return checked_locate(*this, q.empty(), q.finite,
+  return try_locate(q, sample_locate());
+}
+
+Result<LocationEstimate> Locator::try_locate(const Observation& obs,
+                                             bool timed) const {
+  return checked_locate(*this, obs.empty(), obs.is_finite(), timed,
+                        [&] { return locate(obs); });
+}
+
+Result<LocationEstimate> Locator::try_locate(const CompiledObservation& q,
+                                             bool timed) const {
+  return checked_locate(*this, q.empty(), q.finite, timed,
                         [&] { return locate_compiled(q); });
 }
 

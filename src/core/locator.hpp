@@ -84,6 +84,17 @@ class Locator {
   /// kInternal.
   Result<LocationEstimate> try_locate(const CompiledObservation& q) const;
 
+  /// Both try_locate forms above time one call in
+  /// metrics::kSampleEvery per thread into `locate.latency.seconds`
+  /// (every call counts in `locate.calls`). These forms leave that to
+  /// the caller: only a `timed` call reads the clock, so a served scan
+  /// passes its own sampling decision down and an unsampled one reads
+  /// none.
+  Result<LocationEstimate> try_locate(const Observation& obs,
+                                      bool timed) const;
+  Result<LocationEstimate> try_locate(const CompiledObservation& q,
+                                      bool timed) const;
+
   /// Scores a batch of independent observations (many concurrent
   /// clients, or a replayed capture). With a pool, the batch is
   /// chunked across its workers via `concurrency::parallel_for`;

@@ -1,7 +1,9 @@
 #include "serve/location_server.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
+#include <optional>
 #include <stdexcept>
 
 namespace loctk::serve {
@@ -25,6 +27,25 @@ metrics::Counter& total_swaps_counter() {
 metrics::Counter& unknown_site_counter() {
   static metrics::Counter& c = metrics::counter("serve.unknown_site");
   return c;
+}
+
+using core::ScanStage;
+
+using StageHistograms =
+    std::array<metrics::HistogramMetric*, core::ScanStageClock::kStages>;
+
+/// serve.stage.<stage>.seconds, indexed by ScanStage.
+const StageHistograms& stage_histograms() {
+  static const StageHistograms h = {
+      &metrics::histogram("serve.stage.pin.seconds"),
+      &metrics::histogram("serve.stage.session.seconds"),
+      &metrics::histogram("serve.stage.door.seconds"),
+      &metrics::histogram("serve.stage.lookup.seconds"),
+      &metrics::histogram("serve.stage.merge.seconds"),
+      &metrics::histogram("serve.stage.locate.seconds"),
+      &metrics::histogram("serve.stage.kalman.seconds"),
+      &metrics::histogram("serve.stage.metrics.seconds")};
+  return h;
 }
 
 core::ServiceFix degraded_fix(const char* reason) {
@@ -184,12 +205,18 @@ core::ServiceFix LocationServer::on_scan(SiteId site, DeviceId device,
     unknown_site_counter().increment();
     return degraded_fix("[degenerate] serve: unknown site");
   }
-  const Clock::time_point start = Clock::now();
+  // One scan in metrics::kSampleEvery per thread is timed stage by
+  // stage; every other scan reads no clock and records no histogram.
+  thread_local metrics::SampleCountdown countdown;
+  std::optional<core::ScanStageClock> sampled;
+  core::ScanStageClock* const stages =
+      countdown.tick() ? &sampled.emplace() : nullptr;
 
   // Wait-free snapshot pin: one CAS on a striped epoch slot, then a
   // plain pointer load. No lock, no refcount on a shared line.
   EpochDomain::ReadGuard guard(s->epochs);
   const SiteSnapshot* snap = s->current.load(std::memory_order_seq_cst);
+  if (stages) stages->end(ScanStage::kPin);
 
   bool created = false;
   Session* session =
@@ -206,9 +233,10 @@ core::ServiceFix LocationServer::on_scan(SiteId site, DeviceId device,
   // Serializes this device with itself only; concurrent devices hold
   // different sessions and never touch this flag.
   session->lock();
+  if (stages) stages->end(ScanStage::kSession);
   core::ServiceFix fix;
   try {
-    fix = session->service.on_scan(*snap->locator, scan);
+    fix = session->service.on_scan(*snap->locator, scan, stages);
     session->unlock();
   } catch (const std::exception& e) {
     // The data plane must not unwind on hostile input (docs/SERVING.md):
@@ -225,10 +253,18 @@ core::ServiceFix LocationServer::on_scan(SiteId site, DeviceId device,
     s->errors_counter->increment();
     fix = degraded_fix("[internal] serve: locator unwound on scan");
   }
+  if (stages) stages->end(ScanStage::kKalman);
 
   s->scans_counter->increment();
   total_scans_counter().increment();
-  s->on_scan_hist->record(seconds_since(start));
+  if (stages) {
+    stages->end(ScanStage::kMetrics);
+    const auto& hists = stage_histograms();
+    for (std::size_t i = 0; i < hists.size(); ++i) {
+      hists[i]->record(stages->seconds(static_cast<ScanStage>(i)));
+    }
+    s->on_scan_hist->record(stages->total_seconds());
+  }
   return fix;
 }
 

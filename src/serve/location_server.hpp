@@ -134,6 +134,10 @@ class LocationServer {
   /// come back as an invalid, degraded fix rather than an exception —
   /// the serving loop must not unwind on ANY input. Locator unwinds
   /// are counted in `serve.shard.<site>.errors` (SiteStats::errors).
+  /// One scan in metrics::kSampleEvery per thread is timed, split into
+  /// the core::ScanStage stages (`serve.stage.<stage>.seconds`, and
+  /// the whole in `serve.shard.<site>.on_scan.seconds`); the others
+  /// read no clock.
   core::ServiceFix on_scan(SiteId site, DeviceId device,
                            const radio::ScanRecord& scan);
 

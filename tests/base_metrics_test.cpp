@@ -504,6 +504,39 @@ TEST(ScopedTimer, CancelDropsTheRecord) {
   EXPECT_EQ(h.count(), 0u);
 }
 
+TEST(ScopedTimer, NullHistogramRecordsNothing) {
+  { ScopedTimer timer(static_cast<HistogramMetric*>(nullptr), 64); }
+  HistogramMetric h;
+  { ScopedTimer timer(&h); }
+  EXPECT_EQ(h.count(), 1u);
+}
+
+TEST(SampleCountdown, PicksTheFirstCallThenEveryNth) {
+  SampleCountdown countdown;
+  std::vector<std::size_t> picked;
+  for (std::size_t i = 0; i < 3 * kSampleEvery + 1; ++i) {
+    if (countdown.tick()) picked.push_back(i);
+  }
+  EXPECT_EQ(picked, (std::vector<std::size_t>{0, kSampleEvery,
+                                              2 * kSampleEvery,
+                                              3 * kSampleEvery}));
+}
+
+enum class ThreeStages { kA, kB, kC, kCount };
+
+TEST(StageClock, SkippedStagesLastZeroAndStagesPartitionTheTotal) {
+  StageClock<ThreeStages> clock;
+  clock.end(ThreeStages::kA);
+  clock.end(ThreeStages::kC);  // kB skipped
+  EXPECT_GE(clock.seconds(ThreeStages::kA), 0.0);
+  EXPECT_EQ(clock.seconds(ThreeStages::kB), 0.0);
+  EXPECT_GE(clock.seconds(ThreeStages::kC), 0.0);
+  const double sum = clock.seconds(ThreeStages::kA) +
+                     clock.seconds(ThreeStages::kB) +
+                     clock.seconds(ThreeStages::kC);
+  EXPECT_NEAR(sum, clock.total_seconds(), 1e-12);
+}
+
 TEST(TraceSpan, RecordsCallAndDuration) {
   const std::uint64_t calls_before =
       counter("trace.test_span.calls").value();

@@ -4,13 +4,15 @@
 // edge cases the design document calls out: sessions surviving a hot
 // swap, a swap landing while a reader is mid-locate_batch, double-swap
 // inside one epoch, swapping to an empty/degenerate database, and an
-// 8-thread swap-storm meant to run under TSan.
+// 8-thread swap-storm meant to run under TSan; and the 1-in-64 sampled
+// stage timing of on_scan.
 
 #include "serve/location_server.hpp"
 
 #include <atomic>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -373,6 +375,64 @@ TEST(LocationServer, EightThreadSwapStorm) {
   }
   EXPECT_EQ(total_scans,
             static_cast<std::uint64_t>(kThreads) * kScansPerThread);
+}
+
+// One scan in metrics::kSampleEvery per thread is timed, stage by
+// stage, and the rest read no clock. On a fresh thread 64·k scans give
+// the site's on_scan histogram and every serve.stage.* histogram
+// exactly k samples; the stages of a sampled scan partition it, so
+// their sums add up to the on_scan sum. A served locate is timed only
+// on a sampled scan: the first one is a session's first scan, which
+// has no locate yet.
+TEST(LocationServer, SampledScansTimeStagesThatPartitionOnScan) {
+  constexpr std::uint64_t k = 5;
+  LocationServer server(small_config());
+  const SiteId site = server.add_site("sampled", make_locator());
+  const std::vector<std::string> stages = {
+      "pin", "session", "door", "lookup", "merge", "locate", "kalman",
+      "metrics"};
+  struct Reading {
+    std::uint64_t count;
+    double sum;
+  };
+  const auto read = [](const std::string& name) {
+    const metrics::HistogramSnapshot snap =
+        metrics::histogram(name).snapshot(name);
+    return Reading{snap.count, snap.sum};
+  };
+  const std::string on_scan = "serve.shard.sampled.on_scan.seconds";
+  const std::string latency = "locate.latency.seconds";
+  const auto stage_name = [](const std::string& stage) {
+    return "serve.stage." + stage + ".seconds";
+  };
+  const Reading on_scan_before = read(on_scan);
+  const Reading latency_before = read(latency);
+  std::vector<Reading> stages_before;
+  for (const std::string& stage : stages) {
+    stages_before.push_back(read(stage_name(stage)));
+  }
+
+  std::thread([&] {
+    for (std::uint64_t i = 0; i < k * metrics::kSampleEvery; ++i) {
+      const double x = 10.0 + static_cast<double>(i % 7);
+      server.on_scan(site, 1 + i % 4,
+                     scan_at({x, 20.0}, 0.5 * static_cast<double>(i)));
+    }
+  }).join();
+
+  EXPECT_EQ(server.stats(site).scans, k * metrics::kSampleEvery);
+  const Reading whole = read(on_scan);
+  EXPECT_EQ(whole.count - on_scan_before.count, k);
+  const double whole_s = whole.sum - on_scan_before.sum;
+  EXPECT_GT(whole_s, 0.0);
+  EXPECT_EQ(read(latency).count - latency_before.count, k - 1);
+  double stage_s = 0.0;
+  for (std::size_t i = 0; i < stages.size(); ++i) {
+    const Reading r = read(stage_name(stages[i]));
+    EXPECT_EQ(r.count - stages_before[i].count, k) << stages[i];
+    stage_s += r.sum - stages_before[i].sum;
+  }
+  EXPECT_NEAR(stage_s, whole_s, static_cast<double>(k) * 1e-9);
 }
 
 TEST(LocationServer, StatsExposeEpochAndGeneration) {

@@ -11,8 +11,15 @@
 
 #include "testkit/server_soak.hpp"
 
+#include <algorithm>
+#include <fstream>
+#include <iterator>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "base/metrics.hpp"
 #include "concurrency/thread_pool.hpp"
 
 namespace loctk::testkit {
@@ -129,6 +136,64 @@ TEST(ServerSoak, FaultScheduleRejectsSamplesDeterministically) {
   const SoakResult clean = run_server_soak(config);
   ASSERT_TRUE(clean.ok());
   EXPECT_EQ(clean.report.rejected_samples, 0u);
+}
+
+// docs/OBSERVABILITY.md is the metric inventory. CI's static
+// metrics-inventory job checks the string literals under src/; this
+// checks every name registered by the time a two-site soak ends,
+// names built at run time included, with each site's
+// `serve.shard.<name>.` written as the inventory's `serve.shard.<site>.`.
+// The site names are those of the registered `serve.shard.<name>.scans`
+// counters (every shard registers one), so shards of earlier tests in
+// the same process are normalised too.
+TEST(ServerSoak, EveryRegisteredMetricIsInTheInventory) {
+  concurrency::ThreadPool pool(2);
+  ServerSoakConfig config = small_config();
+  config.sites = 2;
+  config.pool = &pool;
+  const SoakResult result = run_server_soak(config);
+  ASSERT_TRUE(result.ok());
+
+  std::ifstream in(std::string(LOCTK_SOURCE_DIR) + "/docs/OBSERVABILITY.md");
+  ASSERT_TRUE(in) << "cannot read docs/OBSERVABILITY.md";
+  const std::string doc((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+
+  const metrics::MetricsSnapshot snap =
+      metrics::MetricsRegistry::global().snapshot();
+  std::vector<std::string> names;
+  for (const auto& [name, value] : snap.counters) names.push_back(name);
+  for (const auto& [name, value] : snap.gauges) names.push_back(name);
+  for (const metrics::HistogramSnapshot& h : snap.histograms) {
+    names.push_back(h.name);
+  }
+  const std::string shard = "serve.shard.";
+  const std::string scans = ".scans";
+  std::vector<std::string> prefixes;
+  for (const auto& [name, value] : snap.counters) {
+    if (name.starts_with(shard) && name.ends_with(scans)) {
+      prefixes.push_back(name.substr(0, name.size() - scans.size()) + ".");
+    }
+  }
+  for (const RunReport& site : result.site_reports) {
+    EXPECT_NE(std::find(prefixes.begin(), prefixes.end(),
+                        shard + site.scenario + "."),
+              prefixes.end())
+        << site.scenario;
+  }
+  for (const std::string& name : names) {
+    std::string listed = name;
+    std::size_t matched = 0;  // the longest site prefix wins
+    for (const std::string& prefix : prefixes) {
+      if (name.starts_with(prefix) && prefix.size() > matched) {
+        listed = shard + "<site>." + name.substr(prefix.size());
+        matched = prefix.size();
+      }
+    }
+    EXPECT_NE(doc.find("`" + listed + "`"), std::string::npos)
+        << name << " is registered but `" << listed
+        << "` is not in docs/OBSERVABILITY.md";
+  }
 }
 
 }  // namespace
