@@ -8,10 +8,10 @@
 // produce byte-identical frames (tests/fleet_compositor_test.cpp), so
 // the ratio of their wall times is pure speedup: span fills and
 // prerendered marker stamps instead of per-pixel bounds-checked
-// writes, glyph-atlas blits instead of per-pixel font walks.
+// writes. Both draw text through draw_text.
 //
-// Also times the glyph-atlas text path against legacy draw_text, the
-// one-time shared-atlas build, and the raw rect packer.
+// Also times draw_text, which blits prerendered glyph cells, against
+// the per-pixel walk it replaced (testkit::reference_draw_text).
 //
 // Every entry runs on the wall clock with 5 repetitions
 // (bench::wall_clock). CI smoke runs each benchmark briefly; the
@@ -28,8 +28,8 @@
 #include "floorplan/fleet_compositor.hpp"
 #include "floorplan/heatmap.hpp"
 #include "image/font.hpp"
-#include "image/glyph_atlas.hpp"
 #include "stats/rng.hpp"
+#include "testkit/text_reference.hpp"
 
 namespace {
 
@@ -114,8 +114,8 @@ void BM_ComposeFrame_PerCall(benchmark::State& state) {
 BENCHMARK(BM_ComposeFrame_PerCall)->Arg(1000)->Arg(10000)
     ->Unit(benchmark::kMillisecond)->Apply(bench::wall_clock);
 
-/// The compositor's one pass (span fills, marker stamps, glyph
-/// atlas). Byte-identical output to the baseline.
+/// The compositor's one pass (span fills, marker stamps, glyph-cell
+/// text). Byte-identical output to the baseline.
 void BM_ComposeFrame(benchmark::State& state) {
   const FleetFrameSpec spec =
       campus_frame(static_cast<int>(state.range(0)));
@@ -128,75 +128,41 @@ void BM_ComposeFrame(benchmark::State& state) {
 BENCHMARK(BM_ComposeFrame)->Arg(1000)->Arg(10000)
     ->Unit(benchmark::kMillisecond)->Apply(bench::wall_clock);
 
-/// Legacy text: per-pixel glyph walk, per call, per character.
-void BM_DrawText_Legacy(benchmark::State& state) {
+/// The text path: one glyph-cell blit per character.
+void BM_DrawText(benchmark::State& state) {
   const int scale = static_cast<int>(state.range(0));
   image::Raster img(640, 480);
+  // The first draw builds the glyph cells; keep it out of the timing.
+  image::draw_text(img, 0, 0, "x", image::colors::kBlack, scale);
   for (auto _ : state) {
     for (int row = 0; row < 24; ++row) {
       image::draw_text(img, 3, row * 19, "B1F2-AP17 -54.3dBm",
                        image::colors::kBlack, scale);
     }
     benchmark::DoNotOptimize(img.data().data());
+    benchmark::ClobberMemory();
   }
   state.counters["glyphs_per_s"] = benchmark::Counter(
       24.0 * 18.0, benchmark::Counter::kIsIterationInvariantRate);
 }
-BENCHMARK(BM_DrawText_Legacy)->Arg(1)->Arg(2)->Apply(bench::wall_clock);
+BENCHMARK(BM_DrawText)->Arg(1)->Arg(2)->Apply(bench::wall_clock);
 
-/// Atlas text: one prerendered mask blit per character.
-void BM_DrawText_Atlas(benchmark::State& state) {
+/// The per-pixel walk draw_text replaced, kept as its test oracle.
+void BM_DrawText_Reference(benchmark::State& state) {
   const int scale = static_cast<int>(state.range(0));
-  image::GlyphAtlas::shared();  // build outside the timed loop
   image::Raster img(640, 480);
   for (auto _ : state) {
     for (int row = 0; row < 24; ++row) {
-      image::draw_text_atlas(img, 3, row * 19, "B1F2-AP17 -54.3dBm",
-                             image::colors::kBlack, scale);
+      testkit::reference_draw_text(img, 3, row * 19, "B1F2-AP17 -54.3dBm",
+                                   image::colors::kBlack, scale);
     }
     benchmark::DoNotOptimize(img.data().data());
+    benchmark::ClobberMemory();
   }
   state.counters["glyphs_per_s"] = benchmark::Counter(
       24.0 * 18.0, benchmark::Counter::kIsIterationInvariantRate);
 }
-BENCHMARK(BM_DrawText_Atlas)->Arg(1)->Arg(2)->Apply(bench::wall_clock);
-
-/// One-time cost of building the full shared atlas (384 glyph slots
-/// packed + rasterized).
-void BM_AtlasBuild_FullSet(benchmark::State& state) {
-  std::vector<image::GlyphAtlas::GlyphKey> keys;
-  for (int scale = 1; scale <= image::kAtlasMaxScale; ++scale) {
-    for (int code = 32; code <= 126; ++code) {
-      keys.push_back({static_cast<char>(code), scale});
-    }
-  }
-  for (auto _ : state) {
-    const image::GlyphAtlas atlas(keys);
-    benchmark::DoNotOptimize(atlas.glyph_count());
-  }
-  state.counters["glyphs_per_s"] = benchmark::Counter(
-      static_cast<double>(keys.size()),
-      benchmark::Counter::kIsIterationInvariantRate);
-}
-BENCHMARK(BM_AtlasBuild_FullSet)->Apply(bench::wall_clock);
-
-/// Raw node-tree packer throughput on the full glyph-set dimensions.
-void BM_RectPack_FullSet(benchmark::State& state) {
-  for (auto _ : state) {
-    image::RectPacker packer(256, 256);
-    int placed = 0;
-    for (int scale = image::kAtlasMaxScale; scale >= 1; --scale) {
-      for (int g = 0; g < 96; ++g) {
-        if (packer.insert(image::kGlyphWidth * scale,
-                          image::kGlyphHeight * scale)) {
-          ++placed;
-        }
-      }
-    }
-    benchmark::DoNotOptimize(placed);
-  }
-}
-BENCHMARK(BM_RectPack_FullSet)->Apply(bench::wall_clock);
+BENCHMARK(BM_DrawText_Reference)->Arg(1)->Arg(2)->Apply(bench::wall_clock);
 
 }  // namespace
 

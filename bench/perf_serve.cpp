@@ -214,7 +214,7 @@ void BM_SessionLookup(benchmark::State& state) {
   static serve::SessionTable* table = nullptr;
   static core::LocationServiceConfig config;
   if (state.thread_index() == 0) {
-    table = new serve::SessionTable(1 << 12, 16);
+    table = new serve::SessionTable(1 << 12);
     for (serve::DeviceId d = 1; d <= 1024; ++d) {
       table->find_or_create(d, config);
     }

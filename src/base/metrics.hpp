@@ -294,15 +294,11 @@ class ScopedTimer {
                std::chrono::steady_clock::now() - start_)
         .count();
   }
-  /// Re-weights the pending record (e.g. once the batch size is known).
-  void set_weight(std::uint64_t weight) { weight_ = weight; }
-  /// Drops the pending record.
-  void cancel() { hist_ = nullptr; }
 
  private:
-  HistogramMetric* hist_;
-  std::uint64_t weight_;
-  std::chrono::steady_clock::time_point start_;
+  HistogramMetric* const hist_;
+  const std::uint64_t weight_;
+  const std::chrono::steady_clock::time_point start_;
 };
 
 /// Named RAII span against the global registry: duration lands in the

@@ -12,8 +12,8 @@
 ///
 /// Two correctness details matter at campus cardinality:
 ///
-/// - Per-floor scoring rides the locators' compiled `locate()` path
-///   (coarse-to-fine pruning included when the config enables it),
+/// - Per-floor scoring rides the locators' compiled `locate()` path,
+///   the exact sparse sweep over the cells the observation heard,
 ///   never a dense `score_all` sweep per floor.
 /// - Floors are compared on a **per-term** basis: each floor's best
 ///   log-likelihood is divided by the number of scored terms (common
@@ -115,8 +115,7 @@ std::vector<traindb::TrainingDatabase> train_campus(
 
 /// Merges per-floor databases (campus-unique location names required)
 /// into one database whose universe is the union — the single
-/// compilation the flat locators and the candidate pruner race on at
-/// campus cardinality.
+/// compilation the flat locators score at campus cardinality.
 traindb::TrainingDatabase merge_floor_databases(
     const std::vector<traindb::TrainingDatabase>& floors,
     std::string site_name);

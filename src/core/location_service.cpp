@@ -75,17 +75,6 @@ const Locator& LocationService::bound_locator() const {
   return *locator_;
 }
 
-std::vector<LocationEstimate> LocationService::locate_batch(
-    std::span<const Observation> observations,
-    concurrency::ThreadPool* pool) const {
-  return bound_locator().locate_batch(observations, pool);
-}
-
-Result<LocationEstimate> LocationService::try_locate(
-    const Observation& obs) const {
-  return bound_locator().try_locate(obs);
-}
-
 void LocationService::reset() {
   window_.clear();
   oldest_ = 0;

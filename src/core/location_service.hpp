@@ -116,8 +116,7 @@ class LocationService {
   /// scan supplies the locator via the on_scan(locator, scan) overload
   /// — so the serving layer can hot-swap the site's snapshot between
   /// any two scans without resetting anyone's track. The locator-less
-  /// entry points (on_scan(scan), try_locate, locate_batch) throw
-  /// std::logic_error on an unbound service.
+  /// on_scan(scan) throws std::logic_error on an unbound service.
   explicit LocationService(LocationServiceConfig config);
 
   /// Feeds one scan; returns the updated fix. Hostile input degrades
@@ -146,28 +145,12 @@ class LocationService {
   ServiceFix on_scan(const Locator& locator, const radio::ScanRecord& scan,
                      ScanStageClock* stages);
 
-  /// One-shot taxonomy-speaking localization of an already-windowed
-  /// observation through this service's locator; degenerate inputs
-  /// come back as typed kDegenerate errors (see Locator::try_locate).
-  /// Stateless with respect to the scan window / Kalman track.
-  Result<LocationEstimate> try_locate(const Observation& obs) const;
-
   /// Non-finite and over-cap samples dropped by on_scan() so far.
   std::size_t rejected_samples() const { return rejected_samples_; }
 
   /// Scans fed through on_scan() over the service's lifetime (survives
   /// reset(), like rejected_samples()).
   std::size_t scans_seen() const { return scans_seen_; }
-
-  /// Bulk entry point: scores a batch of independent, already-windowed
-  /// observations (e.g. one per connected client) through this
-  /// service's locator. With `pool`, the batch is chunked across the
-  /// workers via `concurrency::parallel_for`. Stateless with respect
-  /// to the scan window / Kalman track — per-client smoothing still
-  /// goes through on_scan().
-  std::vector<LocationEstimate> locate_batch(
-      std::span<const Observation> observations,
-      concurrency::ThreadPool* pool = nullptr) const;
 
   /// The most recent fix without feeding anything.
   const ServiceFix& current() const { return fix_; }

@@ -10,7 +10,7 @@ namespace loctk::core {
 namespace {
 
 // Shared across every Locator implementation: the non-virtual entry
-// points (both try_locate forms and locate_batch) are the only choke
+// points (the try_locate forms and locate_batch) are the only choke
 // points, so counters here see all production traffic regardless of
 // algorithm.
 metrics::Counter& locate_calls() {
@@ -90,11 +90,6 @@ Result<LocationEstimate> checked_locate(const Locator& locator, bool empty,
 
 Result<LocationEstimate> Locator::try_locate(const Observation& obs) const {
   return try_locate(obs, sample_locate());
-}
-
-Result<LocationEstimate> Locator::try_locate(
-    const CompiledObservation& q) const {
-  return try_locate(q, sample_locate());
 }
 
 Result<LocationEstimate> Locator::try_locate(const Observation& obs,

@@ -62,7 +62,8 @@ class Locator {
   /// The compiled radio map this locator scores against, or nullptr
   /// for locators that read an Observation directly (geometric, grid,
   /// Bayes grid, tracked). LocationService folds its scan window onto
-  /// this database and calls try_locate(CompiledObservation) when set.
+  /// this database and calls try_locate(CompiledObservation, timed)
+  /// when set.
   virtual const CompiledDatabase* compiled_database() const {
     return nullptr;
   }
@@ -74,22 +75,18 @@ class Locator {
   /// universe, or too few usable ranging circles; kInternal if the
   /// algorithm itself threw. Implemented once on top of the virtual
   /// locate(), so every locator (and every future one) gets the same
-  /// degraded-mode contract for free.
+  /// degraded-mode contract for free. Times one call in
+  /// metrics::kSampleEvery per thread into `locate.latency.seconds`
+  /// (every call counts in `locate.calls`).
   Result<LocationEstimate> try_locate(const Observation& obs) const;
 
-  /// try_locate for a query already lowered onto compiled_database():
-  /// the same checks in the same order (empty, then non-finite mean),
-  /// the same error texts, and the same `locate.*` metrics, with no
-  /// Observation built. A locator without a compiled database answers
-  /// kInternal.
-  Result<LocationEstimate> try_locate(const CompiledObservation& q) const;
-
-  /// Both try_locate forms above time one call in
-  /// metrics::kSampleEvery per thread into `locate.latency.seconds`
-  /// (every call counts in `locate.calls`). These forms leave that to
-  /// the caller: only a `timed` call reads the clock, so a served scan
-  /// passes its own sampling decision down and an unsampled one reads
-  /// none.
+  /// try_locate with the sampling left to the caller: only a `timed`
+  /// call reads the clock, so a served scan passes its own sampling
+  /// decision down and an unsampled one reads none. The compiled form
+  /// takes a query already lowered onto compiled_database(): the same
+  /// checks in the same order (empty, then non-finite mean), the same
+  /// error texts, and the same `locate.*` metrics, with no Observation
+  /// built. A locator without a compiled database answers kInternal.
   Result<LocationEstimate> try_locate(const Observation& obs,
                                       bool timed) const;
   Result<LocationEstimate> try_locate(const CompiledObservation& q,

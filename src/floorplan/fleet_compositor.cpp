@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "base/metrics.hpp"
-#include "image/glyph_atlas.hpp"
+#include "image/font.hpp"
 
 namespace loctk::floorplan {
 
@@ -170,7 +170,7 @@ image::Raster FleetCompositor::render(const FleetFrameSpec& spec) const {
         break;
       }
       case FrameOp::Kind::kText:
-        image::draw_text_atlas(out, op.x, op.y, op.text, op.color, op.scale);
+        image::draw_text(out, op.x, op.y, op.text, op.color, op.scale);
         break;
     }
   }

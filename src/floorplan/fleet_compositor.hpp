@@ -13,9 +13,10 @@
 /// (`render_serial`, the byte-identity oracle the quick tier checks).
 ///
 /// Speed comes from drawing the frequent kinds without per-pixel
-/// bounds checks: fills are row spans, markers are prerendered stamps
-/// and text is glyph-atlas blits, both through `image::blit_mask`
-/// (docs/VISUALIZATION.md).
+/// bounds checks: fills are row spans and markers are prerendered
+/// stamps through `image::blit_mask`. Text goes through
+/// `image::draw_text` in both renders; it blits prerendered glyph cells
+/// through the same primitive (docs/VISUALIZATION.md).
 
 #include <cstdint>
 #include <string>
@@ -34,7 +35,7 @@ struct FrameOp {
     kRect,      ///< rect outline (building footprints, legends)
     kLine,      ///< thin Bresenham line, optionally dashed
     kMarker,    ///< one marker glyph (device dots, AP triangles)
-    kText,      ///< multi-line label via the glyph atlas
+    kText,      ///< multi-line label (`image::draw_text`)
   };
 
   Kind kind = Kind::kFillRect;
@@ -78,9 +79,10 @@ class FleetCompositor {
   image::Raster render(const FleetFrameSpec& spec) const;
 
   /// Reference: replays the ops through the legacy per-call
-  /// primitives (`fill_rect`, `draw_marker`, `draw_text`). This is
-  /// the byte-identity oracle of `render` and the baseline
-  /// `bench/perf_compose` measures it against.
+  /// primitives (`fill_rect`, `draw_marker`; text through the same
+  /// `draw_text` as `render`). This is the byte-identity oracle of
+  /// `render` and the baseline `bench/perf_compose` measures it
+  /// against.
   image::Raster render_serial(const FleetFrameSpec& spec) const;
 };
 

@@ -56,8 +56,8 @@ void draw_marker(Raster& img, int cx, int cy, MarkerShape shape, Color c,
 
 /// Paints `c` over each pixel of the w x h window with top-left corner
 /// (x, y) whose mask byte is nonzero; mask rows are `mask_stride` bytes
-/// apart. Clipped to the raster. Prerendered marker stamps and atlas
-/// glyphs draw through this: an unclipped 3/5/7/9-px square or
+/// apart. Clipped to the raster. Prerendered marker stamps and glyph
+/// cells draw through this: an unclipped 3/5/7/9-px square or
 /// 5x7 * scale (scale 1..4) window takes a blit with compile-time
 /// bounds, which the optimizer fully unrolls.
 void blit_mask(Raster& img, int x, int y, const std::uint8_t* mask,

@@ -2,6 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
+#include "image/draw.hpp"
 
 namespace loctk::image {
 
@@ -793,6 +798,65 @@ const GlyphArt& glyph_for(char ch) {
   return kGlyphs[code - 32];
 }
 
+/// Cells per scale: the 95 printable glyphs in code order, then the
+/// replacement box.
+constexpr std::size_t kCellCount = kGlyphs.size() + 1;
+
+/// The glyph cells of `scale`, or nullptr past kMaxCellScale. Scale s
+/// has kCellCount cells back to back, each a 5s x 7s byte mask (1 =
+/// ink, rows 5s bytes apart). Every scale is built on the first call (a
+/// thread-safe static) and read-only after.
+const std::uint8_t* cells_at(int scale) {
+  using GlyphCells = std::array<std::vector<std::uint8_t>, kMaxCellScale>;
+  static const GlyphCells cells = [] {
+    GlyphCells built;
+    for (int s = 1; s <= kMaxCellScale; ++s) {
+      const int w = kGlyphWidth * s;
+      const int h = kGlyphHeight * s;
+      std::vector<std::uint8_t>& mask = built[static_cast<std::size_t>(s - 1)];
+      mask.resize(kCellCount * static_cast<std::size_t>(w * h));
+      std::uint8_t* out = mask.data();
+      for (std::size_t g = 0; g < kCellCount; ++g) {
+        const GlyphArt& art = g < kGlyphs.size() ? kGlyphs[g] : kReplacement;
+        for (int y = 0; y < h; ++y) {
+          for (int x = 0; x < w; ++x) {
+            *out++ = art.rows[(y / s) * kGlyphWidth + x / s] == '#';
+          }
+        }
+      }
+    }
+    return built;
+  }();
+  return scale <= kMaxCellScale
+             ? cells[static_cast<std::size_t>(scale - 1)].data()
+             : nullptr;
+}
+
+/// Draws `ch` at `scale` >= 1: one blit of its cell from `cells`
+/// (cells_at(scale)), or the per-pixel walk when there are none.
+void put_char(Raster& img, int x, int y, char ch, Color c, int scale,
+              const std::uint8_t* cells) {
+  if (cells != nullptr) {
+    const int w = kGlyphWidth * scale;
+    const int h = kGlyphHeight * scale;
+    const auto code = static_cast<unsigned char>(ch);
+    const std::size_t cell = has_glyph(ch) ? code - 32u : kCellCount - 1;
+    blit_mask(img, x, y, cells + cell * static_cast<std::size_t>(w * h), w,
+              w, h, c);
+    return;
+  }
+  for (int row = 0; row < kGlyphHeight; ++row) {
+    for (int col = 0; col < kGlyphWidth; ++col) {
+      if (!glyph_pixel(ch, col, row)) continue;
+      for (int dy = 0; dy < scale; ++dy) {
+        for (int dx = 0; dx < scale; ++dx) {
+          img.set_pixel(x + col * scale + dx, y + row * scale + dy, c);
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 
 bool has_glyph(char ch) {
@@ -809,21 +873,13 @@ bool glyph_pixel(char ch, int col, int row) {
 
 void draw_char(Raster& img, int x, int y, char ch, Color c, int scale) {
   scale = std::max(1, scale);
-  for (int row = 0; row < kGlyphHeight; ++row) {
-    for (int col = 0; col < kGlyphWidth; ++col) {
-      if (!glyph_pixel(ch, col, row)) continue;
-      for (int dy = 0; dy < scale; ++dy) {
-        for (int dx = 0; dx < scale; ++dx) {
-          img.set_pixel(x + col * scale + dx, y + row * scale + dy, c);
-        }
-      }
-    }
-  }
+  put_char(img, x, y, ch, c, scale, cells_at(scale));
 }
 
 int draw_text(Raster& img, int x, int y, std::string_view text, Color c,
               int scale) {
   scale = std::max(1, scale);
+  const std::uint8_t* cells = cells_at(scale);
   int cx = x;
   int cy = y;
   int max_width = 0;
@@ -834,7 +890,7 @@ int draw_text(Raster& img, int x, int y, std::string_view text, Color c,
       cy += kLineAdvance * scale;
       continue;
     }
-    draw_char(img, cx, cy, ch, c, scale);
+    put_char(img, cx, cy, ch, c, scale, cells);
     cx += kGlyphAdvance * scale;
   }
   return std::max(max_width, cx - x);

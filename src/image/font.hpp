@@ -29,18 +29,25 @@ bool has_glyph(char ch);
 /// [0,7).
 bool glyph_pixel(char ch, int col, int row);
 
+/// Highest scale drawn from prerendered glyph cells. Every glyph is
+/// rendered once, on first use, at scales 1..kMaxCellScale into a
+/// 5s x 7s byte mask; larger scales walk the font per pixel.
+inline constexpr int kMaxCellScale = 4;
+
 /// Draws one character with top-left corner at (x, y), scaled by
-/// `scale` (each font pixel becomes scale x scale device pixels).
+/// `scale` (each font pixel becomes scale x scale device pixels;
+/// scale < 1 draws at 1). Clipped to the raster. At scales up to
+/// kMaxCellScale this is one `blit_mask` of the glyph's cell.
 void draw_char(Raster& img, int x, int y, char ch, Color c, int scale = 1);
 
 /// Draws a (possibly multi-line, '\n'-separated) string; returns the
-/// width in pixels of the longest line drawn.
+/// width in pixels of the longest line drawn. Every label in the
+/// toolkit, the fleet compositor's included, is drawn here.
 ///
-/// Trailing-empty-line contract (pinned by regression tests, and
-/// matched exactly by `draw_text_atlas`): a trailing '\n' starts a
-/// final empty line that contributes nothing to the returned width,
-/// while `text_height` counts it as a full line — "AB\n" measures two
-/// lines tall but returns the width of "AB".
+/// Trailing-empty-line contract (pinned by regression tests): a
+/// trailing '\n' starts a final empty line that contributes nothing to
+/// the returned width, while `text_height` counts it as a full line —
+/// "AB\n" measures two lines tall but returns the width of "AB".
 int draw_text(Raster& img, int x, int y, std::string_view text, Color c,
               int scale = 1);
 

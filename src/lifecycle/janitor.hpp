@@ -44,7 +44,7 @@ namespace loctk::lifecycle {
 
 /// Builds the site's serving locator from a compilation. Injected so
 /// the lifecycle layer stays agnostic of which algorithm (and which
-/// pruner settings) a deployment serves.
+/// settings) a deployment serves.
 using LocatorFactory =
     std::function<std::shared_ptr<const core::Locator>(
         std::shared_ptr<const core::CompiledDatabase>)>;

@@ -100,8 +100,7 @@ SiteId LocationServer::add_site(
   }
 
   auto shard = std::make_unique<Shard>(config_.reader_slots,
-                                       config_.sessions_per_site,
-                                       config_.session_stripes);
+                                       config_.sessions_per_site);
   shard->name = name;
   const std::string prefix = "serve.shard." + name + ".";
   shard->scans_counter = &metrics::counter(prefix + "scans");

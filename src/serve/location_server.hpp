@@ -53,9 +53,8 @@ struct LocationServerConfig {
   /// Hard cap on sites; the shard array is laid out once so the data
   /// plane can index it without synchronization.
   std::size_t max_sites = 256;
-  /// Session-table capacity and striping per site.
+  /// Session-table capacity per site (rounded up to a power of two).
   std::size_t sessions_per_site = 1 << 14;
-  std::size_t session_stripes = 16;
   /// Simultaneous pinned readers per shard (see EpochDomain).
   std::size_t reader_slots = 64;
 };
@@ -180,10 +179,8 @@ class LocationServer {
     metrics::HistogramMetric* on_scan_hist = nullptr;
     metrics::HistogramMetric* swap_hist = nullptr;
 
-    Shard(std::size_t reader_slots, std::size_t session_capacity,
-          std::size_t session_stripes)
-        : epochs(reader_slots),
-          sessions(session_capacity, session_stripes) {}
+    Shard(std::size_t reader_slots, std::size_t session_capacity)
+        : epochs(reader_slots), sessions(session_capacity) {}
   };
 
   /// nullptr for out-of-range ids (data plane treats that as a

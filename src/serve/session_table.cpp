@@ -21,23 +21,15 @@ std::uint64_t SessionTable::mix(DeviceId key) {
   return z ^ (z >> 31);
 }
 
-SessionTable::SessionTable(std::size_t capacity, std::size_t stripes) {
-  const std::size_t stripe_count = round_pow2(stripes);
-  const std::size_t cells =
-      round_pow2((round_pow2(capacity) + stripe_count - 1) / stripe_count);
-  stripe_mask_ = cells - 1;
-  stripe_shift_ = static_cast<std::size_t>(std::countr_zero(cells));
-  stripes_.resize(stripe_count);
-  for (Stripe& stripe : stripes_) {
-    stripe.cells = std::make_unique<Cell[]>(cells);
-  }
+SessionTable::SessionTable(std::size_t capacity) {
+  const std::size_t cells = round_pow2(capacity);
+  mask_ = cells - 1;
+  cells_ = std::make_unique<Cell[]>(cells);
 }
 
 SessionTable::~SessionTable() {
-  for (Stripe& stripe : stripes_) {
-    for (std::size_t i = 0; i <= stripe_mask_; ++i) {
-      delete stripe.cells[i].session.load(std::memory_order_acquire);
-    }
+  for (std::size_t i = 0; i <= mask_; ++i) {
+    delete cells_[i].session.load(std::memory_order_acquire);
   }
 }
 
@@ -46,12 +38,9 @@ Session* SessionTable::find_or_create(
     bool* created) {
   if (created) *created = false;
   if (device == 0) return nullptr;
-  const std::uint64_t h = mix(device);
-  Stripe& stripe = stripes_[h & (stripes_.size() - 1)];
-  const std::size_t start =
-      static_cast<std::size_t>(h >> stripe_shift_) & stripe_mask_;
-  for (std::size_t probe = 0; probe <= stripe_mask_; ++probe) {
-    Cell& cell = stripe.cells[(start + probe) & stripe_mask_];
+  const std::size_t start = static_cast<std::size_t>(mix(device)) & mask_;
+  for (std::size_t probe = 0; probe <= mask_; ++probe) {
+    Cell& cell = cells_[(start + probe) & mask_];
     DeviceId k = cell.key.load(std::memory_order_acquire);
     if (k == 0) {
       // Claim the empty cell; a losing racer re-reads and either finds
@@ -75,17 +64,14 @@ Session* SessionTable::find_or_create(
       }
     }
   }
-  return nullptr;  // stripe full
+  return nullptr;  // table full
 }
 
 Session* SessionTable::find(DeviceId device) const {
   if (device == 0) return nullptr;
-  const std::uint64_t h = mix(device);
-  const Stripe& stripe = stripes_[h & (stripes_.size() - 1)];
-  const std::size_t start =
-      static_cast<std::size_t>(h >> stripe_shift_) & stripe_mask_;
-  for (std::size_t probe = 0; probe <= stripe_mask_; ++probe) {
-    const Cell& cell = stripe.cells[(start + probe) & stripe_mask_];
+  const std::size_t start = static_cast<std::size_t>(mix(device)) & mask_;
+  for (std::size_t probe = 0; probe <= mask_; ++probe) {
+    const Cell& cell = cells_[(start + probe) & mask_];
     const DeviceId k = cell.key.load(std::memory_order_acquire);
     if (k == 0) return nullptr;
     if (k == device) {

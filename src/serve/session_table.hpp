@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file session_table.hpp
-/// Sharded, open-addressed per-device session storage.
+/// Open-addressed per-device session storage.
 ///
 /// Every device talking to a site shard owns one `Session`: the
 /// sliding scan window, Kalman track, and degraded-mode counters that
@@ -11,12 +11,11 @@
 ///
 ///  * fixed capacity, decided at construction — no rehash, so lookup
 ///    never races a table-wide move;
-///  * keys claimed lock-free: a probe either finds the device's entry
-///    or CAS-claims an empty one (key 0 = empty); losers of the claim
-///    race re-read and converge on the winner's entry;
-///  * stripes: the key hash picks one of S independent sub-tables, so
-///    even claim traffic for different devices lands on different
-///    cache regions;
+///  * keys claimed lock-free: a linear probe from the key's hash over
+///    all `capacity()` cells either finds the device's entry or
+///    CAS-claims an empty one (key 0 = empty); losers of the claim
+///    race re-read and converge on the winner's entry, so a new device
+///    is refused only when every cell is taken;
 ///  * per-session spinlock: two racing scans for the *same* device
 ///    serialize (a device's scans are ordered by definition); scans
 ///    for different devices share nothing.
@@ -30,7 +29,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "core/location_service.hpp"
 
@@ -67,10 +65,8 @@ struct Session {
 
 class SessionTable {
  public:
-  /// `capacity` is rounded up to a power of two and split across
-  /// `stripes` (also rounded to a power of two).
-  explicit SessionTable(std::size_t capacity = 1 << 14,
-                        std::size_t stripes = 16);
+  /// `capacity` is rounded up to a power of two.
+  explicit SessionTable(std::size_t capacity = 1 << 14);
 
   SessionTable(const SessionTable&) = delete;
   SessionTable& operator=(const SessionTable&) = delete;
@@ -78,7 +74,7 @@ class SessionTable {
 
   /// Finds `device`'s session, creating it on first contact. Lock-free
   /// (bounded CAS probes). Returns nullptr when the device is new and
-  /// its stripe is full. `*created`, when given, says whether this call
+  /// the table is full. `*created`, when given, says whether this call
   /// created the session.
   Session* find_or_create(DeviceId device,
                           const core::LocationServiceConfig& config,
@@ -90,15 +86,12 @@ class SessionTable {
   /// device exists — returning nullptr would break the contract).
   Session* find(DeviceId device) const;
 
-  /// Live sessions across all stripes.
+  /// Live sessions.
   std::size_t size() const {
     return size_.load(std::memory_order_relaxed);
   }
 
-  std::size_t capacity() const {
-    return stripes_.size() * (stripe_mask_ + 1);
-  }
-  std::size_t stripe_count() const { return stripes_.size(); }
+  std::size_t capacity() const { return mask_ + 1; }
 
  private:
   struct Cell {
@@ -106,15 +99,10 @@ class SessionTable {
     std::atomic<Session*> session{nullptr};
   };
 
-  struct Stripe {
-    std::unique_ptr<Cell[]> cells;
-  };
-
   static std::uint64_t mix(DeviceId key);
 
-  std::vector<Stripe> stripes_;
-  std::size_t stripe_mask_ = 0;  ///< cells per stripe - 1
-  std::size_t stripe_shift_ = 0;
+  std::unique_ptr<Cell[]> cells_;
+  std::size_t mask_ = 0;  ///< capacity() - 1
   std::atomic<std::size_t> size_{0};
 };
 

@@ -57,8 +57,8 @@ struct DriftScenarioConfig {
   /// visibility decay needed to cross `vanish_visibility`.
   int monitor_rounds = 16;
   int monitor_scans = 4;
-  /// Served locator settings (exhaustive by default; pass a pruning
-  /// config to soak the coarse-to-fine path through the lifecycle).
+  /// Served locator settings. Every config runs the same exact sparse
+  /// sweep; the retired prune fields change nothing.
   core::ProbabilisticConfig prob_config;
   lifecycle::JanitorConfig janitor;
 };

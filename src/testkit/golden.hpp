@@ -93,8 +93,8 @@ struct PaperGoldenSummary {
 /// survey/test days (the same seed formulas as bench/sec51 and
 /// bench/sec52, so the gates measure exactly what the benches print).
 /// `prob_config` parameterizes every probabilistic locator in the
-/// run — pass a pruning-enabled config to gate the coarse-to-fine
-/// path against the same golden bands as the exhaustive sweep.
+/// run. Each one locates by the exact sparse sweep whatever the
+/// config's retired prune fields hold.
 PaperGoldenSummary run_paper_golden(int reruns = 20,
                                     core::ProbabilisticConfig prob_config = {});
 

@@ -97,11 +97,9 @@ SoakResult run_soak(const std::vector<SoakSite>& sites, std::string name,
   server_config.service = config.service;
   server_config.max_sites = std::max<std::size_t>(1, sites.size());
   // The "session table never fills" invariant below demands a table
-  // that genuinely cannot fill. Capacity is split across 16 hash
-  // stripes and a stripe overflows individually, so 2x total headroom
-  // is not enough at small per-site fleets (64 devices over 16
-  // stripes of 8 cells overflows on ordinary hash imbalance); size
-  // for per-stripe slack, not just aggregate load factor.
+  // that cannot fill: one open-addressed table refuses a device only
+  // when every cell is taken, so any capacity of at least max_devices
+  // holds. The 4x headroom keeps linear probes short.
   server_config.sessions_per_site =
       std::max<std::size_t>(256, 4 * std::size_t{max_devices});
   serve::LocationServer server(server_config);

@@ -495,15 +495,6 @@ TEST(ScopedTimer, WeightSplitsBatchIntoPerOpSamples) {
   EXPECT_EQ(h.count(), 64u);
 }
 
-TEST(ScopedTimer, CancelDropsTheRecord) {
-  HistogramMetric h;
-  {
-    ScopedTimer timer(h);
-    timer.cancel();
-  }
-  EXPECT_EQ(h.count(), 0u);
-}
-
 TEST(ScopedTimer, NullHistogramRecordsNothing) {
   { ScopedTimer timer(static_cast<HistogramMetric*>(nullptr), 64); }
   HistogramMetric h;

@@ -24,7 +24,6 @@
 #include "concurrency/thread_pool.hpp"
 #include "core/histogram_locator.hpp"
 #include "core/knn.hpp"
-#include "core/location_service.hpp"
 #include "core/probabilistic.hpp"
 #include "core/ssd_locator.hpp"
 #include "stats/rng.hpp"
@@ -632,16 +631,17 @@ TEST(CompiledBatch, LocateMetricsMatchAcrossSingleAndBatchPaths) {
   }
 }
 
+// Many clients' windows at once go straight to the locator a
+// LocationService serves with; the service adds no batch form of its own.
 TEST(CompiledBatch, LocationServiceBatchEntryPoint) {
   const auto db = testing::make_fixture_db();
   const KnnLocator locator(db, KnnConfig{.k = 3});
-  const LocationService service(locator);
   std::vector<Observation> batch;
   for (const traindb::TrainingPoint& tp : db.points()) {
     batch.push_back(testing::fixture_observation(tp.position));
   }
   concurrency::ThreadPool pool(4);
-  const auto fixes = service.locate_batch(batch, &pool);
+  const auto fixes = locator.locate_batch(batch, &pool);
   ASSERT_EQ(fixes.size(), batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     EXPECT_TRUE(fixes[i].valid);

@@ -37,7 +37,7 @@ namespace {
 /// A frame exercising every op kind, with overlap (later ops must
 /// win), clipping at the raster edges, and every blit size the
 /// compositor unrolls: 3/5/7/9-px marker stamps and scale 1-4 glyphs,
-/// plus a scale-5 label, which the atlas does not hold.
+/// plus a scale-5 label, which has no glyph cells.
 FleetFrameSpec dense_frame() {
   FleetFrameSpec spec;
   spec.width = 300;
@@ -87,8 +87,8 @@ FleetFrameSpec dense_frame() {
   spec.add_marker(299, 150, image::MarkerShape::kFilledSquare,
                   image::colors::kPurple, 1);
 
-  // Labels at every atlas scale, clipped at the left, top and
-  // bottom-right edges, and one past the atlas (the per-pixel path).
+  // Labels at every glyph-cell scale, clipped at the left, top and
+  // bottom-right edges, and one past the cells (the per-pixel walk).
   spec.add_text(60, 60, "B0F0-AP17", image::colors::kBlack, 1);
   spec.add_text(120, 120, "seam\nstraddler", image::colors::kRed, 2);
   spec.add_text(-8, 100, "left clip", image::colors::kBlue, 3);
@@ -121,7 +121,7 @@ TEST(FleetCompositor, EmptyAndDegenerateFrames) {
 
 // A real (small) campus frame, per tick, with devices walking across
 // the plate: render equals the serial reference on every tick.
-TEST(FleetCompositor, CampusFrameDeterministicAcrossThreads) {
+TEST(FleetCompositor, CampusFrameMatchesSerialReferenceEveryTick) {
   radio::CampusSpec campus;
   campus.buildings = 2;
   campus.floors_per_building = 1;

@@ -109,9 +109,9 @@ TEST(TextMetrics, WidthAndHeight) {
 // Pins the trailing-empty-line contract (font.hpp): a trailing '\n'
 // starts a final empty line that contributes nothing to draw_text's
 // returned width, while text_height counts it as a full extra line.
-// draw_text_atlas mirrors the same contract (asserted by the golden
-// suite), so this is the single place the behavior is allowed to
-// change.
+// The per-pixel testkit reference follows the same contract (asserted
+// in image_text_test.cpp), so this is the single place the behavior is
+// allowed to change.
 TEST(DrawText, TrailingNewlineAddsNoWidthButCountsAsALine) {
   Raster img(100, 40);
   EXPECT_EQ(draw_text(img, 0, 0, "AB\n", colors::kBlack),

@@ -61,7 +61,6 @@ LocationServerConfig small_config() {
   LocationServerConfig config;
   config.max_sites = 8;
   config.sessions_per_site = 64;
-  config.session_stripes = 4;
   config.reader_slots = 16;
   return config;
 }

@@ -1,6 +1,6 @@
 // SessionTable: lock-free per-device session storage. The contract
 // under test: one session per device forever (find_or_create is
-// idempotent and race-free), a full stripe rejects instead of
+// idempotent and race-free), a full table rejects instead of
 // blocking, and sessions persist — pointers stay stable for the
 // table's lifetime because the serving layer holds them across calls.
 
@@ -26,16 +26,45 @@ core::LocationServiceConfig service_config() {
   return config;
 }
 
-TEST(SessionTable, CapacityRoundsToPowerOfTwoPerStripe) {
-  SessionTable table(/*capacity=*/100, /*stripes=*/4);
-  EXPECT_EQ(table.stripe_count(), 4u);
-  // 100/4 = 25 cells per stripe, rounded up to 32 → 128 total.
+TEST(SessionTable, CapacityRoundsUpToPowerOfTwo) {
+  SessionTable table(/*capacity=*/100);
   EXPECT_EQ(table.capacity(), 128u);
   EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(SessionTable(64).capacity(), 64u);
+  EXPECT_EQ(SessionTable(0).capacity(), 1u);
+}
+
+// Regression: the table used to split its cells into 16 stripes and
+// probe only the device's own stripe, so a capacity-64 table refused
+// the 18th of these devices with 47 cells free. One probe over every
+// cell admits a device while any cell is free.
+TEST(SessionTable, AdmitsDevicesUntilEveryCellIsTaken) {
+  SessionTable table(/*capacity=*/64);
+  const auto config = service_config();
+  std::vector<Session*> sessions;
+  for (DeviceId d = 1; d <= 64; ++d) {
+    bool created = false;
+    Session* s = table.find_or_create((DeviceId{1} << 32) | d, config,
+                                      &created);
+    ASSERT_NE(s, nullptr) << "device " << d << " of 64 refused with "
+                          << table.capacity() - table.size()
+                          << " cells free";
+    EXPECT_TRUE(created);
+    sessions.push_back(s);
+  }
+  EXPECT_EQ(table.size(), 64u);
+  EXPECT_EQ(table.find_or_create((DeviceId{1} << 32) | 65, config), nullptr);
+  EXPECT_EQ(table.find((DeviceId{1} << 32) | 65), nullptr);
+  for (DeviceId d = 1; d <= 64; ++d) {
+    EXPECT_EQ(table.find((DeviceId{1} << 32) | d), sessions[d - 1]);
+    EXPECT_EQ(table.find_or_create((DeviceId{1} << 32) | d, config),
+              sessions[d - 1]);
+  }
+  EXPECT_EQ(table.size(), 64u);
 }
 
 TEST(SessionTable, FindOrCreateIsIdempotent) {
-  SessionTable table(64, 4);
+  SessionTable table(64);
   const auto config = service_config();
   Session* first = table.find_or_create(42, config);
   ASSERT_NE(first, nullptr);
@@ -46,7 +75,7 @@ TEST(SessionTable, FindOrCreateIsIdempotent) {
 }
 
 TEST(SessionTable, FindWithoutCreateReturnsNull) {
-  SessionTable table(64, 4);
+  SessionTable table(64);
   EXPECT_EQ(table.find(7), nullptr);
   table.find_or_create(7, service_config());
   EXPECT_NE(table.find(7), nullptr);
@@ -54,7 +83,7 @@ TEST(SessionTable, FindWithoutCreateReturnsNull) {
 }
 
 TEST(SessionTable, DistinctDevicesGetDistinctSessions) {
-  SessionTable table(1 << 10, 8);
+  SessionTable table(1 << 10);
   const auto config = service_config();
   std::set<Session*> sessions;
   for (DeviceId d = 1; d <= 200; ++d) {
@@ -67,8 +96,8 @@ TEST(SessionTable, DistinctDevicesGetDistinctSessions) {
 }
 
 TEST(SessionTable, FullTableRejectsNewDevicesButServesExisting) {
-  // One stripe of minimal size: easy to fill completely.
-  SessionTable table(/*capacity=*/4, /*stripes=*/1);
+  // A minimal table: easy to fill completely.
+  SessionTable table(/*capacity=*/4);
   const auto config = service_config();
   ASSERT_EQ(table.capacity(), 4u);
 
@@ -96,7 +125,7 @@ TEST(SessionTable, ConcurrentCreatesConvergeOnOneSession) {
   // every caller must receive that same pointer.
   constexpr int kThreads = 8;
   constexpr DeviceId kDevices = 64;
-  SessionTable table(1 << 10, 8);
+  SessionTable table(1 << 10);
   const auto config = service_config();
 
   std::vector<std::vector<Session*>> seen(kThreads,
@@ -135,7 +164,7 @@ TEST(SessionTable, FindWaitsForPublicationDuringClaimRace) {
   // finder's probe lands inside that window it must now wait and come
   // back with the winner's session, never nullptr-then-a-session.
   constexpr DeviceId kRounds = 512;
-  SessionTable table(1 << 12, 2);
+  SessionTable table(1 << 12);
   const auto config = service_config();
 
   std::atomic<DeviceId> current{0};
@@ -196,7 +225,7 @@ TEST(SessionTable, ConcurrentFindAndCreateConvergeOnWinner) {
   constexpr int kCreators = 4;
   constexpr int kFinders = 4;
   constexpr DeviceId kDevices = 128;
-  SessionTable table(1 << 10, 8);
+  SessionTable table(1 << 10);
   const auto config = service_config();
 
   std::vector<std::vector<Session*>> created(
@@ -250,7 +279,7 @@ TEST(SessionTable, ConcurrentFindAndCreateConvergeOnWinner) {
 }
 
 TEST(SessionTable, SessionLockSerializesSameDevice) {
-  SessionTable table(64, 4);
+  SessionTable table(64);
   Session* s = table.find_or_create(1, service_config());
   ASSERT_NE(s, nullptr);
 
