@@ -1,12 +1,13 @@
 // PERF — the ingest pipeline: seed istream parsing vs the interning
-// buffer parser, end-to-end training-database generation serial vs
-// parallel, training-database load paths, and the served cold start
-// of a 1020-AP campus.
+// buffer parser, end-to-end training-database generation on the
+// default pool and on 1-, 2- and 4-thread pools (a 1-thread pool is the
+// serial form), training-database load paths, and the served cold
+// start of a 1020-AP campus.
 //
 // Workload: a synthetic survey corpus written to a temp directory —
 // 64 locations x 150 scan passes x ~8 APs per pass (~75k rows,
 // ~4.5 MB of wi-scan text) plus the matching location map and `.ltdb`
-// encodings — and, for BM_ColdStart_Campus and the generate-only
+// encodings — and, for the BM_ColdStart_Campus and generate-only
 // BM_Generate_Campus rows, a surveyed campus (240 rooms, 10 passes
 // each). The "seed" BMs reproduce the growth seed's
 // getline + istringstream parser, std::map-grouped aggregation, and
@@ -14,8 +15,9 @@
 // JSON trajectory keeps an honest baseline as the reference paths
 // improve. Every entry is timed on the wall clock (pool runs burn CPU
 // off the main thread) and repeated 5 times; BENCH_ingest.json next to
-// the repo root records the checked-in run's aggregates (see
-// docs/ALGORITHMS.md "Ingest pipeline" for methodology).
+// the repo root records the checked-in run's aggregates, recorded with
+// the repetitions interleaved across the run (see docs/ALGORITHMS.md
+// "Ingest pipeline" for methodology).
 
 #include <benchmark/benchmark.h>
 
@@ -334,7 +336,8 @@ BENCHMARK(BM_LoadCollection_Interned)
     ->Apply(bench::wall_clock)
     ->Unit(benchmark::kMillisecond);
 
-void BM_LoadCollection_InternedParallel(benchmark::State& state) {
+// The same load on a pool of range(0) threads; /1 is the serial form.
+void BM_LoadCollection_InternedPool(benchmark::State& state) {
   const IngestCorpus& c = corpus();
   concurrency::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
@@ -343,8 +346,9 @@ void BM_LoadCollection_InternedParallel(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(c.corpus_bytes));
 }
-BENCHMARK(BM_LoadCollection_InternedParallel)
+BENCHMARK(BM_LoadCollection_InternedPool)
     ->Apply(bench::wall_clock)
+    ->Arg(1)
     ->Arg(2)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);
@@ -375,7 +379,7 @@ BENCHMARK(BM_GeneratorE2E_Collection)
     ->Apply(bench::wall_clock)
     ->Unit(benchmark::kMillisecond);
 
-void BM_GeneratorE2E_CollectionParallel(benchmark::State& state) {
+void BM_GeneratorE2E_CollectionPool(benchmark::State& state) {
   const IngestCorpus& c = corpus();
   concurrency::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
@@ -383,8 +387,9 @@ void BM_GeneratorE2E_CollectionParallel(benchmark::State& state) {
         c.dir / "scans", c.map_file, {}, nullptr, &pool));
   }
 }
-BENCHMARK(BM_GeneratorE2E_CollectionParallel)
+BENCHMARK(BM_GeneratorE2E_CollectionPool)
     ->Apply(bench::wall_clock)
+    ->Arg(1)
     ->Arg(2)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);
@@ -475,7 +480,9 @@ BENCHMARK(BM_ProbeDatabase)
 // --- served cold start -------------------------------------------------
 // What a server pays to bring one campus site up from its survey
 // files: the scanbench `campus_fleet` set-up minus the location map
-// and locator build. 2 buildings x 3 floors x 40 rooms, 10 scan passes
+// and locator build. Load and generate run on the default pool, or on
+// a 1-thread pool in the /1 row; the campus-sized compile fans its row
+// fill out on the default pool in both. 2 buildings x 3 floors x 40 rooms, 10 scan passes
 // per room (~130k rows, 240 files) — the paper's Training Database
 // Generator at the ROADMAP's corpus scale.
 struct CampusSurvey {
@@ -513,22 +520,42 @@ const CampusSurvey& campus_survey() {
   return survey;
 }
 
-void BM_ColdStart_Campus(benchmark::State& state) {
+traindb::TrainingDatabase campus_cold_start(concurrency::ThreadPool* pool) {
   const CampusSurvey& survey = campus_survey();
   traindb::GeneratorConfig config;
   config.site_name = "campus";
+  return traindb::generate_database(
+      wiscan::load_collection(survey.dir, pool), survey.map, config,
+      nullptr, pool);
+}
+
+void BM_ColdStart_Campus(benchmark::State& state) {
+  campus_survey();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::CompiledDatabase::compile_owned(
-        traindb::generate_database(wiscan::load_collection(survey.dir),
-                                   survey.map, config)));
+    benchmark::DoNotOptimize(
+        core::CompiledDatabase::compile_owned(campus_cold_start(nullptr)));
   }
 }
 BENCHMARK(BM_ColdStart_Campus)
     ->Apply(bench::wall_clock)
     ->Unit(benchmark::kMillisecond);
 
-// The generator alone over the campus collection, loaded once: the
-// serial core vs its per-location pool fan-out.
+void BM_ColdStart_CampusPool(benchmark::State& state) {
+  campus_survey();
+  concurrency::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        core::CompiledDatabase::compile_owned(campus_cold_start(&pool)));
+  }
+}
+BENCHMARK(BM_ColdStart_CampusPool)
+    ->Apply(bench::wall_clock)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
+
+// The generator alone over the campus collection, loaded once: one
+// task per location on the default pool, or on a pool of range(0)
+// threads (/1 is the serial form).
 const wiscan::Collection& campus_collection() {
   static const wiscan::Collection collection =
       wiscan::load_collection(campus_survey().dir);
@@ -546,16 +573,17 @@ BENCHMARK(BM_Generate_Campus)
     ->Apply(bench::wall_clock)
     ->Unit(benchmark::kMillisecond);
 
-void BM_Generate_CampusParallel(benchmark::State& state) {
+void BM_Generate_CampusPool(benchmark::State& state) {
   const wiscan::Collection& collection = campus_collection();
   concurrency::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(traindb::generate_database_parallel(
-        collection, campus_survey().map, pool));
+    benchmark::DoNotOptimize(traindb::generate_database(
+        collection, campus_survey().map, {}, nullptr, &pool));
   }
 }
-BENCHMARK(BM_Generate_CampusParallel)
+BENCHMARK(BM_Generate_CampusPool)
     ->Apply(bench::wall_clock)
+    ->Arg(1)
     ->Arg(2)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);

@@ -50,29 +50,43 @@ const OfficeCorpus& office() {
   return c;
 }
 
+// generate_database on a 1-thread pool: the serial form.
 void BM_GenerateSerial(benchmark::State& state) {
   const OfficeCorpus& c = office();
+  concurrency::ThreadPool pool(1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        traindb::generate_database(c.collection, c.map));
+        traindb::generate_database(c.collection, c.map, {}, nullptr, &pool));
   }
 }
 BENCHMARK(BM_GenerateSerial)
     ->Apply(bench::wall_clock)
     ->Unit(benchmark::kMillisecond);
 
+// On a pool of range(0) threads.
 void BM_GenerateParallel(benchmark::State& state) {
   const OfficeCorpus& c = office();
   concurrency::ThreadPool pool(
       static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        traindb::generate_database_parallel(c.collection, c.map, pool));
+        traindb::generate_database(c.collection, c.map, {}, nullptr, &pool));
   }
 }
 BENCHMARK(BM_GenerateParallel)
     ->Apply(bench::wall_clock)
     ->Arg(2)->Arg(4)->Arg(8)
+    ->Unit(benchmark::kMillisecond);
+
+// On the default pool, as generate_database runs without a pool.
+void BM_GenerateDefaultPool(benchmark::State& state) {
+  const OfficeCorpus& c = office();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(traindb::generate_database(c.collection, c.map));
+  }
+}
+BENCHMARK(BM_GenerateDefaultPool)
+    ->Apply(bench::wall_clock)
     ->Unit(benchmark::kMillisecond);
 
 void BM_GridLocateSerial(benchmark::State& state) {

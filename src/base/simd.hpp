@@ -30,6 +30,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <new>
+#include <utility>
 #include <vector>
 
 #if defined(LOCTK_SIMD_AVX2)
@@ -254,6 +255,54 @@ struct AlignedAllocator {
 /// A 64-byte aligned double buffer; the element type of every
 /// CompiledDatabase matrix and CompiledObservation vector.
 using AlignedDoubles = std::vector<double, AlignedAllocator<double>>;
+
+/// A fixed-size, 64-byte aligned buffer of doubles that starts out
+/// all zeros: the element type of the dense `points x row_stride`
+/// matrices (CompiledDatabase's four, GaussianTables' two). A buffer
+/// of at least kMapThresholdBytes is its own anonymous `mmap`, so the
+/// kernel hands it over zero-filled and untouched; its pages are
+/// faulted in by whichever threads fill its rows first, and freeing it
+/// returns them at once instead of leaving a hole in the malloc heap.
+/// Smaller buffers (house and office maps, most test maps) are
+/// zero-filled heap blocks that ASan sees.
+class ZeroedDoubles {
+ public:
+  static constexpr std::size_t kMapThresholdBytes = std::size_t{1} << 20;
+
+  ZeroedDoubles() = default;
+  /// `n` zeros.
+  explicit ZeroedDoubles(std::size_t n);
+  ~ZeroedDoubles();
+
+  ZeroedDoubles(ZeroedDoubles&& other) noexcept
+      : data_(other.data_), size_(other.size_) {
+    other.data_ = nullptr;
+    other.size_ = 0;
+  }
+  ZeroedDoubles& operator=(ZeroedDoubles&& other) noexcept {
+    if (this != &other) {
+      ZeroedDoubles gone(std::move(*this));
+      data_ = other.data_;
+      size_ = other.size_;
+      other.data_ = nullptr;
+      other.size_ = 0;
+    }
+    return *this;
+  }
+  ZeroedDoubles(const ZeroedDoubles&) = delete;
+  ZeroedDoubles& operator=(const ZeroedDoubles&) = delete;
+
+  double* data() { return data_; }
+  const double* data() const { return data_; }
+  double& operator[](std::size_t i) { return data_[i]; }
+  const double& operator[](std::size_t i) const { return data_[i]; }
+
+ private:
+  bool mapped() const { return size_ * sizeof(double) >= kMapThresholdBytes; }
+
+  double* data_ = nullptr;
+  std::size_t size_ = 0;
+};
 
 /// True when `p` satisfies the kernel alignment contract.
 inline bool is_aligned(const void* p) {

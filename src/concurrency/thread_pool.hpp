@@ -86,7 +86,11 @@ class ThreadPool {
 
 /// The process-wide default pool (lazily created, sized to the
 /// hardware). Library code that does not receive an explicit pool
-/// parallelizes on this one.
+/// parallelizes on this one: `load_collection` and
+/// `generate_database` with a null pool, and the row fills of a
+/// campus-sized `CompiledDatabase` and its `ProbabilisticLocator`
+/// tables. Its loops are caller-runs (parallel_for.hpp), so a task
+/// running on this pool may itself start a `parallel_for` on it.
 ThreadPool& default_pool();
 
 }  // namespace loctk::concurrency

@@ -50,20 +50,28 @@ void CompiledDatabase::build_slot_index() {
   }
 }
 
-void CompiledDatabase::build_matrices() {
+void CompiledDatabase::allocate_matrices() {
   points_ = db_->size();
   universe_ = db_->bssid_universe().size();
   stride_ = simd::padded_stride(universe_);
   const std::size_t cells = points_ * stride_;
-  mean_.assign(cells, 0.0);
-  stddev_.assign(cells, 0.0);
-  mask_.assign(cells, 0.0);
-  weight_.assign(cells, 0.0);
+  mean_ = simd::ZeroedDoubles(cells);
+  stddev_ = simd::ZeroedDoubles(cells);
+  mask_ = simd::ZeroedDoubles(cells);
+  weight_ = simd::ZeroedDoubles(cells);
   trained_count_.assign(points_, 0);
+}
 
-  for (std::size_t p = 0; p < points_; ++p) {
-    trained_count_[p] = compile_row(db_->points()[p], p * stride_);
-  }
+void CompiledDatabase::build_matrices() {
+  allocate_matrices();
+  // Rows are independent; on a campus-sized map the threads filling
+  // them are also the first to touch the freshly mapped pages.
+  for_each_build_range(
+      points_, points_ * stride_, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t p = lo; p < hi; ++p) {
+          trained_count_[p] = compile_row(db_->points()[p], p * stride_);
+        }
+      });
 }
 
 int CompiledDatabase::compile_row(const traindb::TrainingPoint& tp,
@@ -98,15 +106,7 @@ CompiledDatabase::CompiledDatabase(traindb::TrainingDatabase&& merged,
 
 void CompiledDatabase::delta_build(const CompiledDatabase& base,
                                    const std::vector<bool>& row_changed) {
-  points_ = db_->size();
-  universe_ = db_->bssid_universe().size();
-  stride_ = simd::padded_stride(universe_);
-  const std::size_t cells = points_ * stride_;
-  mean_.assign(cells, 0.0);
-  stddev_.assign(cells, 0.0);
-  mask_.assign(cells, 0.0);
-  weight_.assign(cells, 0.0);
-  trained_count_.assign(points_, 0);
+  allocate_matrices();
 
   // Monotonic old-slot → new-slot remap from one two-pointer pass over
   // the sorted universes. An old BSSID missing from the new universe
@@ -126,39 +126,44 @@ void CompiledDatabase::delta_build(const CompiledDatabase& base,
     }
   }
 
+  // Rows are independent here too, so a campus-sized delta faults its
+  // freshly mapped pages in on the default pool as well.
   const std::size_t shared_rows = std::min(points_, base.points_);
-  for (std::size_t p = 0; p < points_; ++p) {
-    const std::size_t dst = p * stride_;
-    if (p >= shared_rows || row_changed[p]) {
-      trained_count_[p] = compile_row(db_->points()[p], dst);
-      continue;
-    }
-    // Unchanged row: move its cells under the remap in contiguous
-    // runs — a run ends where a slot disappears or the shift between
-    // old and new indices changes (an inserted slot between them).
-    const std::size_t src = p * base.stride_;
-    std::size_t u = 0;
-    while (u < old_universe.size()) {
-      if (new_slot[u] == kGone) {
-        ++u;
+  for_each_build_range(points_, points_ * stride_, [&](std::size_t lo,
+                                                       std::size_t hi) {
+    for (std::size_t p = lo; p < hi; ++p) {
+      const std::size_t dst = p * stride_;
+      if (p >= shared_rows || row_changed[p]) {
+        trained_count_[p] = compile_row(db_->points()[p], dst);
         continue;
       }
-      const std::size_t run = u;
-      const std::size_t shift = new_slot[u] - u;
-      while (u < old_universe.size() && new_slot[u] != kGone &&
-             new_slot[u] - u == shift) {
-        ++u;
+      // Unchanged row: move its cells under the remap in contiguous
+      // runs — a run ends where a slot disappears or the shift between
+      // old and new indices changes (an inserted slot between them).
+      const std::size_t src = p * base.stride_;
+      std::size_t u = 0;
+      while (u < old_universe.size()) {
+        if (new_slot[u] == kGone) {
+          ++u;
+          continue;
+        }
+        const std::size_t run = u;
+        const std::size_t shift = new_slot[u] - u;
+        while (u < old_universe.size() && new_slot[u] != kGone &&
+               new_slot[u] - u == shift) {
+          ++u;
+        }
+        const std::size_t len = u - run;
+        const std::size_t from = src + run;
+        const std::size_t to = dst + run + shift;
+        std::copy_n(base.mean_.data() + from, len, mean_.data() + to);
+        std::copy_n(base.stddev_.data() + from, len, stddev_.data() + to);
+        std::copy_n(base.mask_.data() + from, len, mask_.data() + to);
+        std::copy_n(base.weight_.data() + from, len, weight_.data() + to);
       }
-      const std::size_t len = u - run;
-      const std::size_t from = src + run;
-      const std::size_t to = dst + run + shift;
-      std::copy_n(base.mean_.data() + from, len, mean_.data() + to);
-      std::copy_n(base.stddev_.data() + from, len, stddev_.data() + to);
-      std::copy_n(base.mask_.data() + from, len, mask_.data() + to);
-      std::copy_n(base.weight_.data() + from, len, weight_.data() + to);
+      trained_count_[p] = base.trained_count_[p];
     }
-    trained_count_[p] = base.trained_count_[p];
-  }
+  });
 }
 
 std::shared_ptr<const CompiledDatabase> CompiledDatabase::delta_compile(

@@ -26,10 +26,37 @@
 #include <vector>
 
 #include "base/simd.hpp"
+#include "concurrency/parallel_for.hpp"
 #include "core/observation.hpp"
 #include "traindb/database.hpp"
 
 namespace loctk::core {
+
+/// Maps with fewer padded cells than this (`point_count() x
+/// row_stride()`) compile, and build their locator tables, on the
+/// calling thread: the paper house has 96 and an office floor a few
+/// hundred, so their republishes wake no thread. Larger maps (a campus
+/// has 245,760) fan their row fills out on
+/// `concurrency::default_pool()`.
+inline constexpr std::size_t kInlineBuildCells = std::size_t{1} << 16;
+
+/// Calls `body(lo, hi)` over contiguous ranges that cover [0, n) — the
+/// rows or the slots of a table with `cells` padded cells: once on the
+/// calling thread below kInlineBuildCells, otherwise one range per
+/// default-pool thread. The ranges are disjoint, so a body that writes
+/// only its own rows or slots needs no lock.
+template <typename Body>
+void for_each_build_range(std::size_t n, std::size_t cells, Body&& body) {
+  if (cells < kInlineBuildCells) {
+    body(std::size_t{0}, n);
+    return;
+  }
+  concurrency::ThreadPool& pool = concurrency::default_pool();
+  const std::size_t parts = std::min(n, pool.thread_count());
+  concurrency::parallel_for(pool, 0, parts, [&](std::size_t k) {
+    body(n * k / parts, n * (k + 1) / parts);
+  });
+}
 
 /// An Observation lowered onto a compiled universe: dense mean vector,
 /// presence mask, the list of occupied slots, and each slot's raw
@@ -200,6 +227,8 @@ class CompiledDatabase {
                    const CompiledDatabase& base,
                    const std::vector<bool>& row_changed);
 
+  /// Sizes the four matrices, all zeros, and trained_count_.
+  void allocate_matrices();
   void build_matrices();
   void build_slot_index();
   /// Interns one point's per-AP stats into the row at `base` (row
@@ -219,10 +248,10 @@ class CompiledDatabase {
   std::size_t universe_ = 0;
   /// Padded row stride (simd::padded_stride(universe_)).
   std::size_t stride_ = 0;
-  simd::AlignedDoubles mean_;
-  simd::AlignedDoubles stddev_;
-  simd::AlignedDoubles mask_;
-  simd::AlignedDoubles weight_;
+  simd::ZeroedDoubles mean_;
+  simd::ZeroedDoubles stddev_;
+  simd::ZeroedDoubles mask_;
+  simd::ZeroedDoubles weight_;
   std::vector<int> trained_count_;
   /// One cell of the BSSID → slot index: the high half of the key's
   /// hash and its slot; slot kNoSlot marks an empty cell.

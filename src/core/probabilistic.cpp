@@ -1,6 +1,7 @@
 #include "core/probabilistic.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 
@@ -78,87 +79,110 @@ ProbabilisticLocator::ProbabilisticLocator(
 void ProbabilisticLocator::build_kernel_tables() {
   const std::size_t points = compiled_->point_count();
   const std::size_t universe = compiled_->universe_size();
+  const std::size_t stride = compiled_->row_stride();
+  const std::size_t cells = points * stride;
 
   // Pooled per-AP sigma: sample-count-weighted RMS of the per-point
-  // sigmas (i.e. pooled variance), in one pass over the dense rows
-  // that also counts each slot's trained cells for the postings.
+  // sigmas (i.e. pooled variance). Each slot range sums its slots over
+  // every row in row order, so the sums do not depend on how the slots
+  // are split; the same pass counts each slot's trained cells for the
+  // postings.
   auto tables = std::make_shared<GaussianTables>();
   GaussianTables::Postings& post = tables->postings;
   post.offsets.assign(universe + 1, 0);
   pooled_sigma_.assign(universe, config_.sigma_floor_db);
-  std::vector<double> var_sum(universe, 0.0);
-  std::vector<double> weight(universe, 0.0);
-  for (std::size_t p = 0; p < points; ++p) {
-    const double* sd = compiled_->stddev_row(p);
-    const double* w = compiled_->weight_row(p);
-    const double* mask = compiled_->mask_row(p);
-    for (std::size_t u = 0; u < universe; ++u) {
-      var_sum[u] += w[u] * sd[u] * sd[u];
-      weight[u] += w[u];
-      post.offsets[u + 1] += mask[u] != 0.0 ? 1 : 0;
+  for_each_build_range(universe, cells, [&](std::size_t u0, std::size_t u1) {
+    std::vector<double> var_sum(u1 - u0, 0.0);
+    std::vector<double> weight(u1 - u0, 0.0);
+    for (std::size_t p = 0; p < points; ++p) {
+      const double* sd = compiled_->stddev_row(p);
+      const double* w = compiled_->weight_row(p);
+      const double* mask = compiled_->mask_row(p);
+      for (std::size_t u = u0; u < u1; ++u) {
+        var_sum[u - u0] += w[u] * sd[u] * sd[u];
+        weight[u - u0] += w[u];
+        post.offsets[u + 1] += mask[u] != 0.0 ? 1 : 0;
+      }
     }
-  }
-  for (std::size_t u = 0; u < universe; ++u) {
-    if (weight[u] > 0.0) {
-      pooled_sigma_[u] = std::max(std::sqrt(var_sum[u] / weight[u]),
-                                  config_.sigma_floor_db);
+    for (std::size_t u = u0; u < u1; ++u) {
+      if (weight[u - u0] > 0.0) {
+        pooled_sigma_[u] =
+            std::max(std::sqrt(var_sum[u - u0] / weight[u - u0]),
+                     config_.sigma_floor_db);
+      }
     }
-  }
+  });
 
-  // Per-cell Gaussian constants, in both layouts. Dense: untrained
-  // slots (and the stride pad) get exact zeros so the branchless
-  // kernel's masked terms stay finite; the tables share the compiled
-  // matrices' aligned padded layout so scored_point can run unmasked
-  // vector loads. Sparse: each trained cell also lands at its slot's
-  // next posting, filled in this row-major pass so the matrices are
-  // read sequentially.
-  const std::size_t stride = compiled_->row_stride();
-  tables->log_norm.assign(points * stride, 0.0);
-  tables->inv_two_var.assign(points * stride, 0.0);
+  // Dense per-cell Gaussian constants, by rows: untrained slots (and
+  // the stride pad) keep exact zeros so the branchless kernel's masked
+  // terms stay finite; the tables share the compiled matrices' aligned
+  // padded layout so scored_point can run unmasked vector loads.
+  tables->log_norm = simd::ZeroedDoubles(cells);
+  tables->inv_two_var = simd::ZeroedDoubles(cells);
+  std::atomic<bool> sweep_exact{true};
+  for_each_build_range(points, cells, [&](std::size_t p0, std::size_t p1) {
+    bool exact = true;
+    for (std::size_t p = p0; p < p1; ++p) {
+      const double* mean = compiled_->mean_row(p);
+      const double* sd = compiled_->stddev_row(p);
+      const double* mask = compiled_->mask_row(p);
+      const std::size_t base = p * stride;
+      for (std::size_t u = 0; u < universe; ++u) {
+        if (mask[u] == 0.0) continue;
+        const double sigma =
+            config_.use_pooled_sigma
+                ? pooled_sigma_[u]
+                : std::max(sd[u], config_.sigma_floor_db);
+        const double log_norm =
+            -0.5 * std::log(stats::kTwoPi * sigma * sigma);
+        const double inv_two_var = 0.5 / (sigma * sigma);
+        tables->log_norm[base + u] = log_norm;
+        tables->inv_two_var[base + u] = inv_two_var;
+        // The dense kernel's term for this cell when the slot is not
+        // heard (query mean 0.0), which it multiplies by 0: the sweep
+        // may skip it only if that product is ±0.
+        const double d = 0.0 - mean[u];
+        if (!std::isfinite(log_norm - d * d * inv_two_var)) exact = false;
+      }
+    }
+    if (!exact) sweep_exact.store(false, std::memory_order_relaxed);
+  });
+  sweep_exact_ = sweep_exact.load(std::memory_order_relaxed);
+
+  // Sparse postings, by slot range: the rows trained at each slot in
+  // ascending order, with the dense constants copied beside them.
   for (std::size_t u = 0; u < universe; ++u) {
     post.offsets[u + 1] += post.offsets[u];
   }
-  const std::size_t cells = post.offsets[universe];
-  post.row.resize(cells);
-  post.mean.resize(cells);
-  post.log_norm.resize(cells);
-  post.inv_two_var.resize(cells);
-  std::vector<std::uint32_t> cursor(post.offsets.begin(),
-                                    post.offsets.end() - 1);
-  for (std::size_t p = 0; p < points; ++p) {
-    const double* mean = compiled_->mean_row(p);
-    const double* sd = compiled_->stddev_row(p);
-    const double* mask = compiled_->mask_row(p);
-    const std::size_t base = p * stride;
-    for (std::size_t u = 0; u < universe; ++u) {
-      if (mask[u] == 0.0) continue;
-      const double sigma =
-          config_.use_pooled_sigma
-              ? pooled_sigma_[u]
-              : std::max(sd[u], config_.sigma_floor_db);
-      const double log_norm = -0.5 * std::log(stats::kTwoPi * sigma * sigma);
-      const double inv_two_var = 0.5 / (sigma * sigma);
-      tables->log_norm[base + u] = log_norm;
-      tables->inv_two_var[base + u] = inv_two_var;
-      const std::uint32_t i = cursor[u]++;
-      post.row[i] = static_cast<std::uint32_t>(p);
-      post.mean[i] = mean[u];
-      post.log_norm[i] = log_norm;
-      post.inv_two_var[i] = inv_two_var;
-      // The dense kernel's term for this cell when the slot is not
-      // heard (query mean 0.0), which it multiplies by 0: the sweep
-      // may skip it only if that product is ±0.
-      const double d = 0.0 - mean[u];
-      if (!std::isfinite(log_norm - d * d * inv_two_var)) {
-        sweep_exact_ = false;
+  const std::size_t trained = post.offsets[universe];
+  post.row.resize(trained);
+  post.mean.resize(trained);
+  post.log_norm.resize(trained);
+  post.inv_two_var.resize(trained);
+  for_each_build_range(universe, cells, [&](std::size_t u0, std::size_t u1) {
+    std::vector<std::uint32_t> cursor(
+        post.offsets.begin() + static_cast<std::ptrdiff_t>(u0),
+        post.offsets.begin() + static_cast<std::ptrdiff_t>(u1));
+    for (std::size_t p = 0; p < points; ++p) {
+      const double* mean = compiled_->mean_row(p);
+      const double* mask = compiled_->mask_row(p);
+      const double* log_norm = tables->log_norm.data() + p * stride;
+      const double* inv_two_var = tables->inv_two_var.data() + p * stride;
+      for (std::size_t u = u0; u < u1; ++u) {
+        if (mask[u] == 0.0) continue;
+        const std::uint32_t i = cursor[u - u0]++;
+        post.row[i] = static_cast<std::uint32_t>(p);
+        post.mean[i] = mean[u];
+        post.log_norm[i] = log_norm[u];
+        post.inv_two_var[i] = inv_two_var[u];
       }
     }
-  }
+  });
 
   // The batch path follows the map's fill: per-observation sweeps win
   // while under a quarter of the padded cells are trained (a campus
   // sits near 6%, the paper house and office floors at 50-64%).
-  batch_sweeps_ = cells * 4 < points * stride;
+  batch_sweeps_ = trained * 4 < cells;
   tables_ = std::move(tables);
 }
 

@@ -41,8 +41,8 @@ struct GaussianTables {
   /// Dense: row-major points x row_stride(), with exact zeros at
   /// untrained slots and in the stride pad (score_all, score_batch,
   /// the batched quad kernel, and the guarded dense locate).
-  simd::AlignedDoubles log_norm;
-  simd::AlignedDoubles inv_two_var;
+  simd::ZeroedDoubles log_norm;
+  simd::ZeroedDoubles inv_two_var;
   /// Sparse: slot-major CSR postings of the trained cells. The rows
   /// trained at slot s, ascending, and their mean and constants live
   /// at [offsets[s], offsets[s + 1]) — 28 bytes per trained cell.

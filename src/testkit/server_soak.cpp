@@ -23,6 +23,8 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
@@ -34,9 +36,49 @@ struct DeviceSlot {
   std::uint64_t valid = 0;
   std::uint64_t degraded = 0;
   std::uint64_t invalid = 0;
+  std::uint64_t fix_digest = kFnvOffset;
   std::vector<double> errors_ft;  // fresh valid fixes, scan order
   std::vector<double> on_scan_s;  // per-scan latency
 };
+
+/// FNV-1a of `n` bytes at `data`, continuing from `h`.
+std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= bytes[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// Folds everything a fix reports into a device's stream digest.
+std::uint64_t fold_fix(std::uint64_t h, const core::ServiceFix& fix) {
+  const unsigned char valid = fix.valid ? 1 : 0;
+  h = fnv1a(h, &valid, 1);
+  h = fnv1a(h, &fix.position.x, sizeof fix.position.x);
+  h = fnv1a(h, &fix.position.y, sizeof fix.position.y);
+  h = fnv1a(h, &fix.window_fill, sizeof fix.window_fill);
+  h = fnv1a(h, fix.place.data(), fix.place.size() + 1);
+  return fnv1a(h, fix.degraded_reason.data(), fix.degraded_reason.size() + 1);
+}
+
+/// Samples LocationService drops from `scan` at the door: all of an
+/// over-cap scan's, otherwise the non-finite ones.
+std::uint64_t rejected_samples(const radio::ScanRecord& scan) {
+  const bool over_cap =
+      scan.samples.size() > core::LocationService::kMaxScanSamples ||
+      std::any_of(scan.samples.begin(), scan.samples.end(),
+                  [](const radio::ScanSample& s) {
+                    return s.bssid.size() >
+                           core::LocationService::kMaxBssidBytes;
+                  });
+  if (over_cap) return scan.samples.size();
+  return static_cast<std::uint64_t>(
+      std::count_if(scan.samples.begin(), scan.samples.end(),
+                    [](const radio::ScanSample& s) {
+                      return !std::isfinite(s.rssi_dbm);
+                    }));
+}
 
 std::string format_violation(const std::string& what, std::uint64_t expected,
                              std::uint64_t actual) {
@@ -184,6 +226,7 @@ SoakResult run_soak(const std::vector<SoakSite>& sites, std::string name,
       const core::ServiceFix fix =
           server.on_scan(site_ids[site], id, ts.scan);
       slot.on_scan_s.push_back(seconds_since(scan_start));
+      slot.fix_digest = fold_fix(slot.fix_digest, fix);
       const std::size_t done =
           progress.fetch_add(1, std::memory_order_relaxed) + 1;
       drive_swap_waves(done);
@@ -208,8 +251,10 @@ SoakResult run_soak(const std::vector<SoakSite>& sites, std::string name,
   result.site_reports.resize(sites.size());
   std::vector<double> latencies;
   latencies.reserve(total_scans);
+  result.device_fix_digests.reserve(work.size());
   for (std::size_t w = 0; w < work.size(); ++w) {
     const DeviceSlot& slot = slots[w];
+    result.device_fix_digests.push_back(slot.fix_digest);
     RunReport& site_report = result.site_reports[work[w].first];
     site_report.valid_fixes += slot.valid;
     site_report.degraded_fixes += slot.degraded;
@@ -227,12 +272,11 @@ SoakResult run_soak(const std::vector<SoakSite>& sites, std::string name,
     site_report.device_count = trace.device_count;
     site_report.scans_replayed = trace.scans.size();
     // Rejected samples are deterministic properties of the trace (the
-    // session drops exactly the non-finite ones); the metric
-    // cross-check below confirms the live counters agree.
+    // session drops the non-finite ones and every sample of an over-cap
+    // scan); the metric cross-check below confirms the live counters
+    // agree.
     for (const TraceScan& ts : trace.scans) {
-      for (const radio::ScanSample& sample : ts.scan.samples) {
-        if (!std::isfinite(sample.rssi_dbm)) ++site_report.rejected_samples;
-      }
+      site_report.rejected_samples += rejected_samples(ts.scan);
     }
     std::sort(site_report.errors_ft.begin(), site_report.errors_ft.end());
     report.device_count += site_report.device_count;
@@ -275,7 +319,8 @@ SoakResult run_soak(const std::vector<SoakSite>& sites, std::string name,
                          service_scans.value() - service_scans_before));
   check(service_rejected.value() - service_rejected_before ==
             report.rejected_samples,
-        format_violation("every non-finite sample must be rejected",
+        format_violation("every non-finite or over-cap sample must be "
+                         "rejected",
                          report.rejected_samples,
                          service_rejected.value() - service_rejected_before));
   check(service_degraded.value() - service_degraded_before ==
@@ -318,6 +363,8 @@ SoakResult run_soak(const std::vector<SoakSite>& sites, std::string name,
     check(stats.sessions_rejected == 0,
           format_violation(prefix + "session table never fills", 0,
                            stats.sessions_rejected));
+    check(stats.errors == 0,
+          format_violation(prefix + "no scan unwinds", 0, stats.errors));
   }
 
   if (config.max_p99_on_scan_s > 0.0 &&

@@ -23,12 +23,15 @@
 ///  * the **invariants** (`SoakResult::violations`): the fix partition
 ///    sums to the scan count; the `service.scans`,
 ///    `service.rejected_samples` and `service.degraded_fixes` deltas
-///    match the report and the trace; every planned swap wave ran;
-///    zero uncaught pool errors; per shard, the scan counter matches
-///    the site's trace, the generation counts every wave, one session
-///    exists per scanning device, every retired snapshot was
-///    reclaimed, no reader stalled across two swaps and the session
-///    table never filled; and the p99 on_scan latency stays bounded.
+///    match the report and the trace (rejected samples: the non-finite
+///    ones plus every sample of a scan over LocationService's caps);
+///    every planned swap wave ran; zero uncaught pool errors; per
+///    shard, the scan counter matches the site's trace, the generation
+///    counts every wave, one session exists per scanning device, every
+///    retired snapshot was reclaimed, no reader stalled across two
+///    swaps, the session table never filled and no scan unwound
+///    (`serve.shard.<site>.errors` stays 0); and the p99 on_scan
+///    latency stays bounded.
 ///    An empty list is the pass signal; CI fails on anything else.
 ///
 /// Determinism under swaps: each swap installs a locator freshly
@@ -90,6 +93,11 @@ struct SoakResult {
   RunReport report;
   /// Per-site reports, index-aligned with the sites.
   std::vector<RunReport> site_reports;
+  /// FNV-1a digest of each device's fix stream (validity, position
+  /// bits, window fill, place and degraded reason of every fix, in scan
+  /// order), sites in order and each site's devices in device order.
+  /// Deterministic like the reports.
+  std::vector<std::uint64_t> device_fix_digests;
   /// Human-readable invariant breaches; empty means the run passed.
   std::vector<std::string> violations;
   /// Swap waves performed (each wave swaps every site once).

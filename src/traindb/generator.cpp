@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string_view>
+#include <unordered_set>
 #include <utility>
 
 #include "base/metrics.hpp"
@@ -108,39 +110,38 @@ TrainingPoint build_training_point(const wiscan::WiScanFile& file,
 
 namespace {
 
-// Shared front half: resolve positions, record mismatches, and return
-// the indices of collection files that have map entries.
-std::vector<std::size_t> plan_points(const wiscan::Collection& collection,
-                                     const wiscan::LocationMap& map,
-                                     GeneratorReport* report) {
-  std::vector<std::size_t> usable;
+/// One collection file with a map entry, and where the map puts it.
+struct PlannedPoint {
+  std::size_t file;
+  geom::Vec2 position;
+};
+
+// Resolves every file's position and records the mismatches both ways.
+std::vector<PlannedPoint> plan_points(const wiscan::Collection& collection,
+                                      const wiscan::LocationMap& map,
+                                      GeneratorReport* report) {
+  std::vector<PlannedPoint> planned;
+  planned.reserve(collection.files.size());
   for (std::size_t i = 0; i < collection.files.size(); ++i) {
-    if (map.find(collection.files[i].location)) {
-      usable.push_back(i);
+    if (const auto position = map.find(collection.files[i].location)) {
+      planned.push_back({i, *position});
     } else if (report) {
       report->unmapped_locations.push_back(collection.files[i].location);
     }
   }
   if (report) {
+    std::unordered_set<std::string_view> surveyed;
+    surveyed.reserve(collection.files.size());
+    for (const wiscan::WiScanFile& f : collection.files) {
+      surveyed.insert(f.location);
+    }
     for (const wiscan::NamedLocation& loc : map.locations()) {
-      if (collection.find(loc.name) == nullptr) {
+      if (!surveyed.contains(loc.name)) {
         report->unsurveyed_locations.push_back(loc.name);
       }
     }
   }
-  return usable;
-}
-
-TrainingDatabase assemble(const GeneratorConfig& config,
-                          std::vector<TrainingPoint> built,
-                          std::size_t dropped, GeneratorReport* report) {
-  TrainingDatabase db =
-      TrainingDatabase::from_points(std::move(built), config.site_name);
-  if (report) {
-    report->dropped_pairs += dropped;
-    report->points_built = db.size();
-  }
-  return db;
+  return planned;
 }
 
 }  // namespace
@@ -148,41 +149,32 @@ TrainingDatabase assemble(const GeneratorConfig& config,
 TrainingDatabase generate_database(const wiscan::Collection& collection,
                                    const wiscan::LocationMap& map,
                                    const GeneratorConfig& config,
-                                   GeneratorReport* report) {
-  const std::vector<std::size_t> usable =
+                                   GeneratorReport* report,
+                                   concurrency::ThreadPool* pool) {
+  const std::vector<PlannedPoint> planned =
       plan_points(collection, map, report);
-  std::vector<TrainingPoint> built;
-  built.reserve(usable.size());
-  std::size_t dropped = 0;
-  for (const std::size_t i : usable) {
-    const wiscan::WiScanFile& f = collection.files[i];
-    built.push_back(
-        build_training_point(f, *map.find(f.location), config, &dropped));
+
+  // One task per location, each writing its own slot; the points are
+  // assembled in collection order and the drop counts summed in that
+  // order, so the database (and its encoded bytes) is the same for
+  // every thread count.
+  std::vector<TrainingPoint> built(planned.size());
+  std::vector<std::size_t> dropped_per(planned.size(), 0);
+  concurrency::parallel_for(
+      pool != nullptr ? *pool : concurrency::default_pool(), 0,
+      planned.size(), [&](std::size_t k) {
+        built[k] = build_training_point(collection.files[planned[k].file],
+                                        planned[k].position, config,
+                                        &dropped_per[k]);
+      });
+
+  TrainingDatabase db =
+      TrainingDatabase::from_points(std::move(built), config.site_name);
+  if (report) {
+    for (const std::size_t d : dropped_per) report->dropped_pairs += d;
+    report->points_built = db.size();
   }
-  return assemble(config, std::move(built), dropped, report);
-}
-
-TrainingDatabase generate_database_parallel(
-    const wiscan::Collection& collection, const wiscan::LocationMap& map,
-    concurrency::ThreadPool& pool, const GeneratorConfig& config,
-    GeneratorReport* report) {
-  const std::vector<std::size_t> usable =
-      plan_points(collection, map, report);
-
-  // One slot per file: workers accumulate into their own indices and
-  // the merge is a fixed left-to-right fold, so the assembled database
-  // (and its serialized bytes) match the serial path exactly.
-  std::vector<TrainingPoint> built(usable.size());
-  std::vector<std::size_t> dropped_per(usable.size(), 0);
-  concurrency::parallel_for(pool, 0, usable.size(), [&](std::size_t k) {
-    const wiscan::WiScanFile& f = collection.files[usable[k]];
-    built[k] = build_training_point(f, *map.find(f.location), config,
-                                    &dropped_per[k]);
-  });
-
-  std::size_t dropped = 0;
-  for (const std::size_t d : dropped_per) dropped += d;
-  return assemble(config, std::move(built), dropped, report);
+  return db;
 }
 
 TrainingDatabase generate_database_from_path(
@@ -204,9 +196,7 @@ TrainingDatabase generate_database_from_path(
   const wiscan::LocationMap map =
       wiscan::LocationMap::read(location_map_file);
   TrainingDatabase db =
-      pool != nullptr
-          ? generate_database_parallel(collection, map, *pool, config, report)
-          : generate_database(collection, map, config, report);
+      generate_database(collection, map, config, report, pool);
   generate_files_counter().add(collection.files.size());
   generate_quarantined_counter().add(load_report.quarantined.size());
   generate_points_counter().add(db.size());

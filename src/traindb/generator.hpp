@@ -10,9 +10,10 @@
 /// `GeneratorReport` rather than silently dropped. Every entry point
 /// runs one core: `build_training_point` over each file of a loaded
 /// `Collection`, then one `TrainingDatabase::from_points`. The path
-/// form is `load_collection` + `generate_database`; generation is
-/// embarrassingly parallel across locations, so generation can also
-/// fan out on a `ThreadPool`.
+/// form is `load_collection` + `generate_database`. Generation is
+/// embarrassingly parallel across locations, so it runs one task per
+/// location on a `ThreadPool` (the default pool unless the caller
+/// passes its own).
 
 #include <filesystem>
 #include <string>
@@ -59,27 +60,23 @@ struct GeneratorReport {
   std::size_t points_built = 0;
 };
 
-/// Builds the database serially.
+/// Builds the database with one task per location on `pool`, or on
+/// `concurrency::default_pool()` when `pool` is null; a 1-thread pool
+/// is the serial form. Points are assembled in collection order
+/// whatever the completion order, so the output is byte-identical for
+/// every thread count.
 TrainingDatabase generate_database(const wiscan::Collection& collection,
                                    const wiscan::LocationMap& map,
                                    const GeneratorConfig& config = {},
-                                   GeneratorReport* report = nullptr);
-
-/// Builds the database with one task per location on `pool`.
-/// Identical output to the serial path (points are assembled in
-/// collection order regardless of completion order).
-TrainingDatabase generate_database_parallel(
-    const wiscan::Collection& collection, const wiscan::LocationMap& map,
-    concurrency::ThreadPool& pool, const GeneratorConfig& config = {},
-    GeneratorReport* report = nullptr);
+                                   GeneratorReport* report = nullptr,
+                                   concurrency::ThreadPool* pool = nullptr);
 
 /// End-to-end convenience mirroring the paper's CLI contract: a
 /// string naming either a wi-scan directory or a `.lar` archive, plus
 /// a location-map file. Exactly `load_collection` (which feeds the
-/// `ingest.*` metrics) followed by `generate_database`; with `pool`,
-/// both the file parses and the per-location aggregation fan out
-/// across its workers, and the result is byte-identical to the serial
-/// path.
+/// `ingest.*` metrics) followed by `generate_database`, both on `pool`
+/// (the default pool when null); the result is byte-identical for
+/// every thread count.
 TrainingDatabase generate_database_from_path(
     const std::filesystem::path& collection_source,
     const std::filesystem::path& location_map_file,

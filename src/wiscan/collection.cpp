@@ -80,19 +80,16 @@ bool has_wiscan_extension(const std::string& name) {
          name.compare(name.size() - kExt.size(), kExt.size(), kExt) == 0;
 }
 
-// Parses `count` work items into index-aligned slots, serially or
-// chunked across `pool`.
+// Parses `count` work items into index-aligned slots, chunked across
+// `pool` (the default pool when null).
 template <typename ParseItem>
 std::vector<WiScanFile> parse_work_list(std::size_t count,
                                         concurrency::ThreadPool* pool,
                                         const ParseItem& parse_item) {
   std::vector<WiScanFile> parsed(count);
-  if (pool != nullptr && count > 1) {
-    concurrency::parallel_for(*pool, 0, count,
-                              [&](std::size_t i) { parsed[i] = parse_item(i); });
-  } else {
-    for (std::size_t i = 0; i < count; ++i) parsed[i] = parse_item(i);
-  }
+  concurrency::parallel_for(
+      pool != nullptr ? *pool : concurrency::default_pool(), 0, count,
+      [&](std::size_t i) { parsed[i] = parse_item(i); });
   return parsed;
 }
 

@@ -58,11 +58,13 @@ struct LoadReport {
 /// FormatError / ArchiveError on malformed content, and FormatError
 /// when `source` is neither a directory nor a `.lar` file.
 ///
-/// With `pool`, the files are parsed in parallel across its workers.
-/// The work list is fixed up front (paths sorted lexicographically,
-/// archive entries in map order) and every worker writes into its own
-/// index slot, so the loaded collection is byte-identical to the
-/// serial path regardless of thread count or completion order.
+/// Each file is read and parsed as its own task on `pool`, or on
+/// `concurrency::default_pool()` when `pool` is null; a 1-thread pool
+/// is the serial form, every file on the calling thread. The work
+/// list is fixed up front (paths sorted lexicographically, archive
+/// entries in map order) and every task writes into its own index
+/// slot, so the loaded collection is byte-identical for every thread
+/// count and completion order.
 ///
 /// With `report`, per-file failures (unreadable file, malformed rows)
 /// are *quarantined*: the bad file is skipped, a structured diagnostic

@@ -1,6 +1,5 @@
 #include "wiscan/location_map.hpp"
 
-#include <algorithm>
 #include <fstream>
 #include <limits>
 
@@ -44,30 +43,28 @@ std::string slurp(std::istream& is) {
 }  // namespace
 
 void LocationMap::add(const std::string& name, geom::Vec2 position) {
-  require(!contains(name), "location-map: duplicate name: " + name);
+  const auto [it, inserted] = index_.try_emplace(name, entries_.size());
+  require(inserted, "location-map: duplicate name: " + name);
   entries_.push_back({name, position});
 }
 
 void LocationMap::set(const std::string& name, geom::Vec2 position) {
-  for (NamedLocation& e : entries_) {
-    if (e.name == name) {
-      e.position = position;
-      return;
-    }
+  const auto [it, inserted] = index_.try_emplace(name, entries_.size());
+  if (inserted) {
+    entries_.push_back({name, position});
+  } else {
+    entries_[it->second].position = position;
   }
-  entries_.push_back({name, position});
 }
 
 bool LocationMap::contains(const std::string& name) const {
-  return find(name).has_value();
+  return index_.contains(name);
 }
 
 std::optional<geom::Vec2> LocationMap::find(const std::string& name) const {
-  const auto it = std::find_if(
-      entries_.begin(), entries_.end(),
-      [&](const NamedLocation& e) { return e.name == name; });
-  if (it == entries_.end()) return std::nullopt;
-  return it->position;
+  const auto it = index_.find(name);
+  if (it == index_.end()) return std::nullopt;
+  return entries_[it->second].position;
 }
 
 std::optional<std::string> LocationMap::nearest(geom::Vec2 p) const {

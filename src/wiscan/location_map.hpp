@@ -19,6 +19,7 @@
 #include <ostream>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "geom/vec2.hpp"
@@ -39,7 +40,9 @@ struct NamedLocation {
                          const NamedLocation&) = default;
 };
 
-/// Ordered collection of named locations with unique names.
+/// Ordered collection of named locations with unique names. A name
+/// index beside the entries makes `add`, `set`, `contains` and `find`
+/// constant-time; `locations()` keeps insertion order.
 class LocationMap {
  public:
   /// Adds a location; throws LocationMapError on duplicate names.
@@ -63,10 +66,15 @@ class LocationMap {
   static LocationMap read(std::istream& is);
   static LocationMap read(const std::filesystem::path& path);
 
-  friend bool operator==(const LocationMap&, const LocationMap&) = default;
+  /// Equal entries in equal order (the index follows from them).
+  friend bool operator==(const LocationMap& a, const LocationMap& b) {
+    return a.entries_ == b.entries_;
+  }
 
  private:
   std::vector<NamedLocation> entries_;
+  /// Name -> position in entries_.
+  std::unordered_map<std::string, std::size_t> index_;
 };
 
 }  // namespace loctk::wiscan

@@ -1,19 +1,54 @@
 // Direct unit tests for parallel_for / parallel_reduce edge behavior:
 // empty and single-element ranges, exception propagation, grain
 // handling, and re-entry from a pool worker thread (the pattern the
-// fleet soak driver relies on when a per-device body itself fans out).
+// fleet soak driver relies on when a per-device body itself fans out,
+// and every swap wave builds a locator inside a pool task).
 
 #include "concurrency/parallel_for.hpp"
 #include "concurrency/thread_pool.hpp"
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/grid_locator.hpp"
+#include "test_fixtures.hpp"
+
 namespace loctk::concurrency {
 namespace {
+
+// Runs `fn` on its own thread and fails if it has not returned within
+// `limit`. A deadlocked loop can never be joined, so the process then
+// exits at once: a regression fails the suite instead of hanging it.
+template <typename F>
+void finishes_within(std::chrono::seconds limit, const char* what, F fn) {
+  std::promise<void> done;
+  std::future<void> finished = done.get_future();
+  std::thread runner([&] {
+    try {
+      fn();
+      done.set_value();
+    } catch (...) {
+      done.set_exception(std::current_exception());
+    }
+  });
+  if (finished.wait_for(limit) != std::future_status::ready) {
+    std::fprintf(stderr, "FAILED: %s did not finish within %lld s\n", what,
+                 static_cast<long long>(limit.count()));
+    std::fflush(nullptr);
+    std::_Exit(1);
+  }
+  runner.join();
+  finished.get();
+}
 
 TEST(ParallelFor, EmptyRangeNeverCallsBody) {
   ThreadPool pool(2);
@@ -97,6 +132,113 @@ TEST(ParallelFor, NestedFromPoolThreadCompletes) {
   EXPECT_EQ(inner_calls.load(), 64);
 }
 
+TEST(ParallelFor, NestedOnOneTwoThreadPoolCompletes) {
+  // Two outer chunks, each running a 4-item loop on the same 2-thread
+  // pool. A loop that only queued its chunks and blocked on them would
+  // hang here once both workers sat in outer bodies.
+  ThreadPool pool(2);
+  std::atomic<int> inner_calls{0};
+  finishes_within(std::chrono::seconds(20), "nested parallel_for", [&] {
+    parallel_for(pool, 0, 2, [&](std::size_t) {
+      parallel_for(pool, 0, 4, [&](std::size_t) { ++inner_calls; });
+    });
+  });
+  EXPECT_EQ(inner_calls.load(), 8);
+}
+
+TEST(ParallelFor, NestedFromEveryWorkerOfOnePoolCompletes) {
+  // Every worker is inside a task that starts a loop on its own pool,
+  // so no worker is left to pick up a queued chunk: the callers must
+  // run them.
+  ThreadPool pool(2);
+  std::atomic<int> inner_calls{0};
+  finishes_within(std::chrono::seconds(20), "parallel_for in pool tasks",
+                  [&] {
+                    std::vector<std::future<void>> tasks;
+                    for (std::size_t t = 0; t < pool.thread_count(); ++t) {
+                      tasks.push_back(pool.submit([&] {
+                        parallel_for(pool, 0, 4,
+                                     [&](std::size_t) { ++inner_calls; });
+                      }));
+                    }
+                    for (std::future<void>& t : tasks) t.get();
+                  });
+  EXPECT_EQ(inner_calls.load(), 8);
+}
+
+TEST(ParallelFor, ParallelGridLocatorInsideDefaultPoolTasks) {
+  // GridLocator's parallel path scores its cells with parallel_for on
+  // the default pool; located from tasks that occupy every default-pool
+  // worker, it must still finish, with the serial answer.
+  const traindb::TrainingDatabase db = loctk::testing::make_fixture_db();
+  core::GridLocatorConfig config;
+  config.grid_pitch_ft = 1.0;
+  config.parallel = true;
+  const core::GridLocator parallel(db, geom::Rect::sized(40.0, 40.0), config);
+  config.parallel = false;
+  const core::GridLocator serial(db, geom::Rect::sized(40.0, 40.0), config);
+  const core::Observation obs =
+      loctk::testing::fixture_observation({13.0, 27.0});
+  const core::LocationEstimate expected = serial.locate(obs);
+  ASSERT_TRUE(expected.valid);
+
+  ThreadPool& pool = default_pool();
+  std::vector<core::LocationEstimate> got(2 * pool.thread_count());
+  finishes_within(std::chrono::seconds(60), "GridLocator in pool tasks", [&] {
+    std::vector<std::future<void>> tasks;
+    for (std::size_t t = 0; t < got.size(); ++t) {
+      tasks.push_back(
+          pool.submit([&, t] { got[t] = parallel.locate(obs); }));
+    }
+    for (std::future<void>& t : tasks) t.get();
+  });
+  for (const core::LocationEstimate& est : got) {
+    ASSERT_TRUE(est.valid);
+    EXPECT_EQ(est.position, expected.position);
+    EXPECT_EQ(est.score, expected.score);
+  }
+}
+
+TEST(ParallelFor, OnePoolThreadRunsOnTheCaller) {
+  // A 1-thread pool is the serial form: every index on the calling
+  // thread, in order.
+  ThreadPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  parallel_for(pool, 0, 16, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  ASSERT_EQ(order.size(), 16u);
+  for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+}
+
+TEST(ParallelFor, LowestIndexExceptionWins) {
+  // Every chunk but the first throws its own index; both forms rethrow
+  // chunk 1's whichever thread finished first.
+  ThreadPool pool(4);
+  const auto throw_above_zero = [](std::size_t i) {
+    if (i > 0) throw std::runtime_error(std::to_string(i));
+  };
+  for (int round = 0; round < 20; ++round) {
+    try {
+      parallel_for(pool, 0, 4, throw_above_zero);
+      ADD_FAILURE() << "parallel_for threw nothing";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "1");
+    }
+    try {
+      parallel_reduce(
+          pool, 0, 4, 0,
+          [&](int&, std::size_t i) { throw_above_zero(i); },
+          [](int& into, int part) { into += part; });
+      ADD_FAILURE() << "parallel_reduce threw nothing";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "1");
+    }
+  }
+}
+
 TEST(ParallelFor, NestedAcrossPoolsCompletes) {
   // Cross-pool nesting (outer bodies fan out onto a different pool)
   // has no shared queue at all and must always complete.
@@ -130,6 +272,22 @@ TEST(ParallelReduce, SumMatchesSerialAndIsThreadCountInvariant) {
         [](long& into, long part) { into += part; });
     EXPECT_EQ(total, expected) << threads << " threads";
   }
+}
+
+TEST(ParallelReduce, ChunkBoundariesAreOnePerThread) {
+  // The partials merge in chunk order, and a chunk is one pool
+  // thread's share of the range: 10 items on 4 threads split 3/3/3/1.
+  ThreadPool pool(4);
+  const std::vector<int> sizes = parallel_reduce(
+      pool, 0, 10, std::vector<int>{},
+      [](std::vector<int>& acc, std::size_t) {
+        if (acc.empty()) acc.push_back(0);
+        ++acc.back();
+      },
+      [](std::vector<int>& into, const std::vector<int>& part) {
+        into.insert(into.end(), part.begin(), part.end());
+      });
+  EXPECT_EQ(sizes, (std::vector<int>{3, 3, 3, 1}));
 }
 
 TEST(ParallelReduce, ExceptionFromAccumulatePropagates) {

@@ -344,5 +344,46 @@ TEST(DeltaCompile, RemapsSlotsAcrossAThousandSlotUniverse) {
   expect_oracle_equal(base, delta);
 }
 
+TEST(DeltaCompile, CampusSizedCompileMatchesDeltaOfTheSamePoints) {
+  // A campus-sized map (240 rows over a 1020-AP universe): both sides
+  // fan their row fills out on the default pool into mapped matrices,
+  // compile_owned interning every row and delta_compile copying the
+  // base rows under its slot remap. Base: the first 120 rooms; the
+  // delta appends the other 120, so both sides hold the same points in
+  // the same order.
+  std::vector<traindb::TrainingPoint> points(240);
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    points[p].location = "room-" + std::to_string(p);
+    points[p].position = {static_cast<double>(p % 40) * 8.0,
+                          static_cast<double>(p / 40) * 12.0};
+    for (std::size_t a = 0; a < 60; ++a) {
+      const std::size_t ap = (p * 17 + a * 3) % 1020;
+      points[p].per_ap.push_back(ap_stat(
+          radio::synthetic_bssid(static_cast<int>(ap)),
+          -40.0 - static_cast<double>((p + ap) % 50),
+          1.0 + static_cast<double>(ap % 5), 10 + static_cast<std::uint32_t>(a)));
+    }
+  }
+  const auto full = CompiledDatabase::compile_owned(
+      traindb::TrainingDatabase::from_points(points, "campus-sized"));
+  ASSERT_EQ(full->universe_size(), 1020u);
+  // Past both the inline build and the heap/mapping threshold.
+  ASSERT_GE(full->point_count() * full->row_stride(), kInlineBuildCells);
+  ASSERT_GE(full->point_count() * full->row_stride() * sizeof(double),
+            simd::ZeroedDoubles::kMapThresholdBytes);
+
+  const std::vector<traindb::TrainingPoint> first(points.begin(),
+                                                  points.begin() + 120);
+  DatabaseDelta delta;
+  delta.upserts.assign(points.begin() + 120, points.end());
+  const auto base = CompiledDatabase::compile_owned(
+      traindb::TrainingDatabase::from_points(first, "campus-sized"));
+  const auto merged = base->delta_compile(delta);
+  const CompiledDiffReport diff = compare_compiled_databases(*merged, *full);
+  EXPECT_TRUE(diff.ok()) << diff.to_text();
+  // Every cell of the four matrices.
+  EXPECT_EQ(diff.cells_compared, 4 * full->point_count() * full->row_stride());
+}
+
 }  // namespace
 }  // namespace loctk::core

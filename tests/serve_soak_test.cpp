@@ -21,6 +21,8 @@
 
 #include "base/metrics.hpp"
 #include "concurrency/thread_pool.hpp"
+#include "core/location_service.hpp"
+#include "testkit/scenario.hpp"
 
 namespace loctk::testkit {
 namespace {
@@ -136,6 +138,88 @@ TEST(ServerSoak, FaultScheduleRejectsSamplesDeterministically) {
   const SoakResult clean = run_server_soak(config);
   ASSERT_TRUE(clean.ok());
   EXPECT_EQ(clean.report.rejected_samples, 0u);
+}
+
+// A few devices send two over-cap scans mid-stream (docs/ROBUSTNESS.md):
+// one with kMaxScanSamples + 1 samples and one carrying a BSSID of
+// kMaxBssidBytes + 1 bytes. No scan may unwind (the soak's invariants
+// check serve.shard.<site>.errors), every sample of those scans counts
+// in service.rejected_samples beside the standing schedule's
+// non-finite ones, and every other device's fix stream equals a run
+// without the over-cap scans.
+TEST(ServerSoak, OverCapScansAreRejectedWithoutDisturbingOtherDevices) {
+  ScenarioSpec spec = ScenarioSpec::fleet(8, 24, 4242);
+  spec.name = "over-cap";
+  add_fault_schedule(spec);
+  const Scenario scenario(std::move(spec));
+  const ScanTrace clean = scenario.record_trace();
+
+  // Devices 1, 4 and 6 each get both scans after their 10th scan,
+  // stamped between it and their 11th.
+  const std::vector<std::uint32_t> over_cap_devices = {1, 4, 6};
+  ScanTrace over_cap = clean;
+  std::uint64_t over_cap_samples = 0;
+  for (const std::uint32_t device : over_cap_devices) {
+    const std::vector<std::size_t> mine = over_cap.scans_by_device()[device];
+    ASSERT_GT(mine.size(), 11u);
+    const TraceScan at = over_cap.scans[mine[10]];
+    const double gap_s =
+        over_cap.scans[mine[11]].scan.timestamp_s - at.scan.timestamp_s;
+    TraceScan crowded = at;
+    crowded.scan.timestamp_s += gap_s / 3.0;
+    for (int k = 0; crowded.scan.samples.size() <=
+                    core::LocationService::kMaxScanSamples;
+         ++k) {
+      crowded.scan.samples.push_back(
+          {"crowd:" + std::to_string(k), -80.0, 6});
+    }
+    TraceScan long_bssid = at;
+    long_bssid.scan.timestamp_s += 2.0 * gap_s / 3.0;
+    ASSERT_FALSE(long_bssid.scan.samples.empty());
+    long_bssid.scan.samples[0].bssid.assign(
+        core::LocationService::kMaxBssidBytes + 1, 'b');
+    over_cap_samples +=
+        crowded.scan.samples.size() + long_bssid.scan.samples.size();
+    const auto after = over_cap.scans.begin() +
+                       static_cast<std::ptrdiff_t>(mine[10]) + 1;
+    over_cap.scans.insert(after, {crowded, long_bssid});
+  }
+  ASSERT_EQ(over_cap.scans.size(), clean.scans.size() + 6);
+
+  concurrency::ThreadPool pool(4);
+  SoakConfig config;
+  config.pool = &pool;
+  config.swap_every_scans = 16;
+  const SoakResult without =
+      run_soak({{clean, scenario.database()}}, "over-cap-clean", config);
+  const SoakResult with =
+      run_soak({{over_cap, scenario.database()}}, "over-cap", config);
+  for (const SoakResult* r : {&without, &with}) {
+    for (const std::string& v : r->violations) {
+      ADD_FAILURE() << "invariant violated: " << v;
+    }
+  }
+  ASSERT_TRUE(without.ok());
+  ASSERT_TRUE(with.ok());
+
+  EXPECT_GT(without.report.rejected_samples, 0u);
+  EXPECT_EQ(with.report.rejected_samples,
+            without.report.rejected_samples + over_cap_samples);
+  EXPECT_EQ(with.report.scans_replayed, without.report.scans_replayed + 6);
+  ASSERT_EQ(with.device_fix_digests.size(), without.device_fix_digests.size());
+  for (std::uint32_t d = 0; d < with.device_fix_digests.size(); ++d) {
+    const bool touched =
+        std::find(over_cap_devices.begin(), over_cap_devices.end(), d) !=
+        over_cap_devices.end();
+    if (touched) {
+      // Two more fixes in its stream, so the digest must move.
+      EXPECT_NE(with.device_fix_digests[d], without.device_fix_digests[d])
+          << "device " << d;
+    } else {
+      EXPECT_EQ(with.device_fix_digests[d], without.device_fix_digests[d])
+          << "device " << d;
+    }
+  }
 }
 
 // docs/OBSERVABILITY.md is the metric inventory. CI's static

@@ -4,12 +4,12 @@
 // tier; survey_digest_conformance_test.cpp, the campus case): pins the
 // training-database bytes a served cold start builds. A survey written
 // by SurveyCampaign::run_to_directory at a fixed seed is read back
-// through load_collection + generate_database, encoded, and hashed
-// with FNV-1a. The digests were recorded before wi-scan rows were
-// interned; a change to the text format, the parser, the per-AP
-// grouping, the Welford order or the universe build moves them.
-// testkit_soak_test.cpp pins soak report digests with the same fnv1a
-// and hex.
+// through load_collection + generate_database on 1-thread, 4-thread
+// and default pools, encoded, and hashed with FNV-1a. The digests were
+// recorded before wi-scan rows were interned; a change to the text
+// format, the parser, the per-AP grouping, the Welford order or the
+// universe build moves them. testkit_soak_test.cpp pins soak report
+// digests with the same fnv1a and hex.
 
 #include <cstdint>
 #include <cstdio>
@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "concurrency/thread_pool.hpp"
 #include "core/pipeline.hpp"
 #include "radio/scanner.hpp"
 #include "traindb/codec.hpp"
@@ -58,19 +59,33 @@ class SurveyDigest : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(dir_); }
 
-  // Digests of the survey in dir_ with keep_samples off, then on.
+  // Digests of the survey in dir_ with keep_samples off, then on, each
+  // loaded and generated on a 1-thread pool (the serial form), on a
+  // 4-thread pool and on the default pool.
   void expect_digests(const wiscan::LocationMap& map,
                       std::uint64_t stats_only, std::uint64_t with_samples) {
-    const wiscan::Collection collection = wiscan::load_collection(dir_);
-    traindb::GeneratorConfig config;
-    config.site_name = "digest";
-    EXPECT_EQ(hex(fnv1a(traindb::encode_database(
-                  traindb::generate_database(collection, map, config)))),
-              hex(stats_only));
-    config.keep_samples = true;
-    EXPECT_EQ(hex(fnv1a(traindb::encode_database(
-                  traindb::generate_database(collection, map, config)))),
-              hex(with_samples));
+    concurrency::ThreadPool serial(1);
+    concurrency::ThreadPool four(4);
+    for (concurrency::ThreadPool* pool :
+         {&serial, &four, static_cast<concurrency::ThreadPool*>(nullptr)}) {
+      const std::string label =
+          pool == nullptr
+              ? "default pool"
+              : std::to_string(pool->thread_count()) + "-thread pool";
+      const wiscan::Collection collection =
+          wiscan::load_collection(dir_, pool);
+      traindb::GeneratorConfig config;
+      config.site_name = "digest";
+      EXPECT_EQ(hex(fnv1a(traindb::encode_database(traindb::generate_database(
+                    collection, map, config, nullptr, pool)))),
+                hex(stats_only))
+          << label;
+      config.keep_samples = true;
+      EXPECT_EQ(hex(fnv1a(traindb::encode_database(traindb::generate_database(
+                    collection, map, config, nullptr, pool)))),
+                hex(with_samples))
+          << label;
+    }
   }
 
   void survey(const core::Testbed& testbed, const wiscan::LocationMap& map,

@@ -126,17 +126,22 @@ TEST(Generate, ParallelMatchesSerialExactly) {
   GeneratorConfig cfg;
   cfg.keep_samples = true;
   cfg.min_samples_per_ap = 1;
-  GeneratorReport serial_report, parallel_report;
+  // A 1-thread pool is the serial form; a 4-thread pool and the
+  // default pool must assemble the same database.
+  concurrency::ThreadPool serial_pool(1);
+  GeneratorReport serial_report;
   const TrainingDatabase serial =
-      generate_database(col, map, cfg, &serial_report);
+      generate_database(col, map, cfg, &serial_report, &serial_pool);
 
   concurrency::ThreadPool pool(4);
-  const TrainingDatabase parallel = generate_database_parallel(
-      col, map, pool, cfg, &parallel_report);
-
-  EXPECT_EQ(serial, parallel);
-  EXPECT_EQ(serial_report.points_built, parallel_report.points_built);
-  EXPECT_EQ(serial_report.dropped_pairs, parallel_report.dropped_pairs);
+  for (concurrency::ThreadPool* p : {&pool, &concurrency::default_pool()}) {
+    GeneratorReport parallel_report;
+    const TrainingDatabase parallel =
+        generate_database(col, map, cfg, &parallel_report, p);
+    EXPECT_EQ(serial, parallel);
+    EXPECT_EQ(serial_report.points_built, parallel_report.points_built);
+    EXPECT_EQ(serial_report.dropped_pairs, parallel_report.dropped_pairs);
+  }
 }
 
 TEST(Generate, FromPathEndToEnd) {

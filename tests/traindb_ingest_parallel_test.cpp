@@ -1,7 +1,8 @@
 // Randomized property tests for the parallel ingest pipeline: the
-// parallel collection-load and generator paths must produce output
-// byte-identical to the serial paths on shuffled multi-file corpora,
-// and the direct-to-CompiledDatabase builds must match the two-step
+// collection load and the generator must produce byte-identical output
+// on a 1-thread pool (the serial form), wider pools and the default
+// pool, over shuffled multi-file corpora, and the
+// direct-to-CompiledDatabase builds must match the two-step
 // compile-after-load composition exactly.
 
 #include <algorithm>
@@ -120,18 +121,20 @@ class IngestParallelTest : public ::testing::Test {
 };
 
 TEST_F(IngestParallelTest, ParallelDirectoryLoadIsIdenticalToSerial) {
+  concurrency::ThreadPool serial_pool(1);
   concurrency::ThreadPool pool(4);
-  const wiscan::Collection serial = wiscan::load_collection(dir_);
-  const wiscan::Collection parallel = wiscan::load_collection(dir_, &pool);
-  EXPECT_EQ(serial.files, parallel.files);
+  const wiscan::Collection serial = wiscan::load_collection(dir_, &serial_pool);
+  EXPECT_EQ(serial.files, wiscan::load_collection(dir_, &pool).files);
+  EXPECT_EQ(serial.files, wiscan::load_collection(dir_).files);
 }
 
 TEST_F(IngestParallelTest, ParallelArchiveLoadIsIdenticalToSerial) {
+  concurrency::ThreadPool serial_pool(1);
   concurrency::ThreadPool pool(3);
   const fs::path lar = archive_path();
-  const wiscan::Collection serial = wiscan::load_collection(lar);
-  const wiscan::Collection parallel = wiscan::load_collection(lar, &pool);
-  EXPECT_EQ(serial.files, parallel.files);
+  const wiscan::Collection serial = wiscan::load_collection(lar, &serial_pool);
+  EXPECT_EQ(serial.files, wiscan::load_collection(lar, &pool).files);
+  EXPECT_EQ(serial.files, wiscan::load_collection(lar).files);
   // The archive mirrors the directory corpus entry for entry.
   EXPECT_EQ(serial.files, wiscan::load_collection(dir_).files);
 }
@@ -143,22 +146,24 @@ TEST_F(IngestParallelTest, ParallelGeneratorBytesMatchSerial) {
     config.keep_samples = keep_samples;
     config.site_name = "prop-test";
 
+    concurrency::ThreadPool serial_pool(1);
     GeneratorReport serial_report;
-    const TrainingDatabase serial =
-        generate_database(collection, map_, config, &serial_report);
+    const TrainingDatabase serial = generate_database(
+        collection, map_, config, &serial_report, &serial_pool);
 
     concurrency::ThreadPool pool(4);
-    GeneratorReport parallel_report;
-    const TrainingDatabase parallel = generate_database_parallel(
-        collection, map_, pool, config, &parallel_report);
-
-    EXPECT_EQ(encode_database(serial), encode_database(parallel));
-    EXPECT_EQ(serial_report.unmapped_locations,
-              parallel_report.unmapped_locations);
-    EXPECT_EQ(serial_report.unsurveyed_locations,
-              parallel_report.unsurveyed_locations);
-    EXPECT_EQ(serial_report.dropped_pairs, parallel_report.dropped_pairs);
-    EXPECT_EQ(serial_report.points_built, parallel_report.points_built);
+    for (concurrency::ThreadPool* p : {&pool, &concurrency::default_pool()}) {
+      GeneratorReport parallel_report;
+      const TrainingDatabase parallel =
+          generate_database(collection, map_, config, &parallel_report, p);
+      EXPECT_EQ(encode_database(serial), encode_database(parallel));
+      EXPECT_EQ(serial_report.unmapped_locations,
+                parallel_report.unmapped_locations);
+      EXPECT_EQ(serial_report.unsurveyed_locations,
+                parallel_report.unsurveyed_locations);
+      EXPECT_EQ(serial_report.dropped_pairs, parallel_report.dropped_pairs);
+      EXPECT_EQ(serial_report.points_built, parallel_report.points_built);
+    }
     // The corpus really exercises the report paths.
     EXPECT_EQ(serial_report.unmapped_locations.size(), 2u);
     EXPECT_EQ(serial_report.unsurveyed_locations.size(), 1u);
@@ -171,13 +176,16 @@ TEST_F(IngestParallelTest, EndToEndFromPathBytesMatchSerial) {
   config.site_name = "e2e";
   const fs::path map_file = dir_ / "site.locmap";
 
+  concurrency::ThreadPool serial_pool(1);
   concurrency::ThreadPool pool(4);
   for (const fs::path& source : {dir_, archive_path()}) {
-    const TrainingDatabase serial =
-        generate_database_from_path(source, map_file, config);
-    const TrainingDatabase parallel =
-        generate_database_from_path(source, map_file, config, nullptr, &pool);
-    EXPECT_EQ(encode_database(serial), encode_database(parallel))
+    const std::string serial = encode_database(generate_database_from_path(
+        source, map_file, config, nullptr, &serial_pool));
+    EXPECT_EQ(serial, encode_database(generate_database_from_path(
+                          source, map_file, config, nullptr, &pool)))
+        << "source: " << source;
+    EXPECT_EQ(serial, encode_database(
+                          generate_database_from_path(source, map_file, config)))
         << "source: " << source;
   }
 }
@@ -311,10 +319,10 @@ TEST_F(IngestParallelTest, CompileCollectionMatchesCompileAfterLoad) {
   expect_same_compilation(*direct, *two_step);
   EXPECT_EQ(report.points_built, two_step_db.size());
 
-  concurrency::ThreadPool pool(4);
-  const auto direct_parallel = core::CompiledDatabase::compile_owned(
-      generate_database_parallel(collection, map_, pool, config));
-  expect_same_compilation(*direct_parallel, *two_step);
+  concurrency::ThreadPool serial_pool(1);
+  const auto direct_serial = core::CompiledDatabase::compile_owned(
+      generate_database(collection, map_, config, nullptr, &serial_pool));
+  expect_same_compilation(*direct_serial, *two_step);
 }
 
 TEST_F(IngestParallelTest, LoadCompiledDatabaseMatchesDecodeThenCompile) {

@@ -3,6 +3,8 @@
 #include "wiscan/location_map.hpp"
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -114,6 +116,55 @@ TEST(LocationMap, OrderPreserved) {
   ASSERT_EQ(map.locations().size(), 2u);
   EXPECT_EQ(map.locations()[0].name, "z");
   EXPECT_EQ(map.locations()[1].name, "a");
+}
+
+TEST(LocationMap, SetIsLastWriteWinsInFirstInsertionOrder) {
+  // The name index must not disturb the entries: a replaced name keeps
+  // its first position, a new one appends, and a duplicate add still
+  // throws without touching the map.
+  LocationMap map;
+  map.set("b", {1.0, 1.0});
+  map.set("a", {2.0, 2.0});
+  map.set("b", {3.0, 3.0});
+  map.set("c", {4.0, 4.0});
+  map.set("b", {5.0, 5.0});
+  EXPECT_THROW(map.add("a", {9.0, 9.0}), LocationMapError);
+  const std::vector<NamedLocation> expected = {
+      {"b", {5.0, 5.0}}, {"a", {2.0, 2.0}}, {"c", {4.0, 4.0}}};
+  EXPECT_EQ(map.locations(), expected);
+  EXPECT_EQ(*map.find("a"), geom::Vec2(2.0, 2.0));
+
+  // Copies answer from their own index; equality compares entries.
+  LocationMap copy = map;
+  copy.set("a", {7.0, 7.0});
+  EXPECT_EQ(*map.find("a"), geom::Vec2(2.0, 2.0));
+  EXPECT_EQ(*copy.find("a"), geom::Vec2(7.0, 7.0));
+  EXPECT_FALSE(copy == map);
+  LocationMap rebuilt;
+  for (const NamedLocation& e : map.locations()) rebuilt.add(e.name, e.position);
+  EXPECT_EQ(rebuilt, map);
+}
+
+TEST(LocationMap, ManyNamesKeepInsertionOrderAndLookups) {
+  // A campus-sized map read from text: every line's name is found at
+  // its own coordinates, and locations() is file order.
+  std::string text = "# location-map v1\n";
+  std::vector<std::string> names;
+  for (int i = 0; i < 2000; ++i) {
+    // Scrambled so file order is not sorted order.
+    names.push_back("room-" + std::to_string((i * 7919) % 2000));
+    text += names.back() + " " + std::to_string(i) + " " +
+            std::to_string(-i) + "\n";
+  }
+  std::istringstream is(text);
+  const LocationMap map = LocationMap::read(is);
+  ASSERT_EQ(map.size(), names.size());
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(map.locations()[i].name, names[i]);
+    const double x = static_cast<double>(i);
+    EXPECT_EQ(map.find(names[i]), geom::Vec2(x, -x));
+  }
+  EXPECT_FALSE(map.contains("room-2000"));
 }
 
 }  // namespace
